@@ -19,7 +19,8 @@ ARCHITECTURES = ("linear", "one_hidden")
 
 
 class DegenerateEmbeddingError(ValueError):
-    """The pre-normalization encoder output collapsed to (near) zero."""
+    """The pre-normalization encoder output collapsed to (near) zero or its
+    norm is not finite."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,15 @@ def encode_batch(params: EncoderParams, X: np.ndarray):
     else:
         H = np.tanh(X @ params.W1.T)
         raw = H @ params.W2.T
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < 1e-12):
+    with np.errstate(over="ignore"):    # an overflowing norm is reported below
+        norms = np.linalg.norm(raw, axis=1)
+    # min and max propagate NaN, so this also rejects NaN norms.
+    if not (norms.min() >= 1e-12 and norms.max() < np.inf):
+        finite = np.isfinite(norms)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DegenerateEmbeddingError(
+                f"pre-normalization norm is not finite (row {bad}, norm {norms[bad]})")
         bad = int(np.argmin(norms))
         raise DegenerateEmbeddingError(
             f"pre-normalization output collapsed (row {bad}, norm {norms[bad]:.3e})")

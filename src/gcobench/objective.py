@@ -52,11 +52,13 @@ class GlobalObjectiveConfig:
 
 @dataclass
 class OracleResult:
-    """Exact objective value, exact gradient, and the (n, K) matrix of averaged g."""
+    """Exact objective value, exact gradient, the (n, K) matrix of averaged g,
+    and the mean augmentation-consistency diagnostic from the same pass."""
 
     value: float
     grad: np.ndarray
     per_sample_g: np.ndarray
+    eps_sq_mean: float
 
 
 def _member_views(ds: Dataset, fam: AugmentationFamily, i: int, batch: MiniBatch):
@@ -135,38 +137,88 @@ def global_loss_v2(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b
     return -pos + cfg.tau * float(np.log(cfg.eps0 + gmean))
 
 
+# Target size, in entries, of the row blocks epsilon is computed over:
+# about 1 MiB of float64, so a block's deviations stay in cache.
+_EPS_BLOCK = 1 << 17
+
+
+def _similarities(params, ds: Dataset, fam: AugmentationFamily):
+    """Embeddings of all n*K views, their forward cache, E transposed
+    (contiguous), the n*K x n*K similarity matrix S, and a copy of its
+    (n, K, K) own-view blocks."""
+    E, cache = encoder.encode_batch(params, all_views(ds, fam))
+    Et = np.ascontiguousarray(E.T)
+    # Not E @ E.T: numpy sends that to syrk and then mirrors the triangle
+    # element by element, several times slower than gemm at these sizes.
+    S = E @ Et
+    ar = np.arange(ds.n)
+    own = S.reshape(ds.n, fam.K, ds.n, fam.K)[ar, :, ar, :]
+    return E, Et, cache, S, own
+
+
+def _dev_sq_sums(blocks: np.ndarray) -> np.ndarray:
+    """Per leading index, the sum of squared deviations from the mean over
+    axis 1 of a (c, K, cols) array."""
+    dev = blocks - blocks.mean(axis=1, keepdims=True)
+    return np.einsum("ikz,ikz->i", dev, dev)
+
+
+def _eps_sq_mean(S: np.ndarray, own: np.ndarray) -> float:
+    """Mean over samples of aug_consistency_eps, read off S.
+
+    Sample i's value is 2 * (population variance over k of S[(i, k), z])
+    averaged over its (n - 1) * K negative columns z: the deviation sum over
+    all columns minus that over its own block, taken over row blocks of
+    whole samples.
+    """
+    n, K = own.shape[:2]
+    nK = n * K
+    step = max(1, _EPS_BLOCK // (K * nK))
+    total = np.concatenate([_dev_sq_sums(S[a * K:(a + step) * K].reshape(-1, K, nK))
+                            for a in range(0, n, step)])
+    per_sample = 2.0 * (total - _dev_sq_sums(own)) / (K * (n - 1) * K)
+    return float(np.mean(per_sample))
+
+
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily, want_grad: bool):
+    """One pass over one S: alignment from the own blocks and epsilon from
+    the raw similarities, then S is turned in place into the negative
+    masses and (with want_grad) into the contrast weights W, so that the
+    cotangent is (W + W.T) @ E minus the alignment block sums."""
     n, K = ds.n, fam.K
-    if n * K > ORACLE_GUARD:
-        raise OracleSizeError(f"oracle enumeration needs n*K <= {ORACLE_GUARD}, got {n * K}")
-    X = all_views(ds, fam)
-    E, cache = encoder.encode_batch(params, X)
-    S = E @ E.T
-    block = np.repeat(np.arange(n), K)
-    same = block[:, None] == block[None, :]
-    neg_exp = np.where(same, 0.0, np.exp(S / cfg.tau))
+    nK = n * K
+    if nK > ORACLE_GUARD:
+        raise OracleSizeError(f"oracle enumeration needs n*K <= {ORACLE_GUARD}, got {nK}")
+    E, Et, cache, S, own = _similarities(params, ds, fam)
+    align = -own.sum() / (n * K * K)
+    eps = _eps_sq_mean(S, own) if want_grad else None
+
+    S /= cfg.tau
+    np.exp(S, out=S)
+    ar = np.arange(n)
+    S.reshape(n, K, n, K)[ar, :, ar, :] = 0.0
     set_size = (n - 1) * K
-    gbar = neg_exp.sum(axis=1) / set_size            # (nK,)
+    gbar = S.sum(axis=1) / set_size                  # (nK,)
     per_sample_g = gbar.reshape(n, K)
     ubar = per_sample_g.mean(axis=1)                 # (n,)
-
-    align = -(S * same).sum() / (n * K * K)
     if cfg.version == "v1":
         contrast = cfg.tau * float(np.mean(np.log(cfg.eps0 + gbar)))
         denom_row = cfg.eps0 + gbar
     else:
         contrast = cfg.tau * float(np.mean(np.log(cfg.eps0 + ubar)))
-        denom_row = cfg.eps0 + ubar[block]
+        denom_row = np.repeat(cfg.eps0 + ubar, K)
     value = float(align + contrast)
     if not want_grad:
-        return value, None, per_sample_g
+        return value, None, per_sample_g, None
 
-    C = np.where(same, -1.0 / (n * K * K), 0.0)
-    C += neg_exp / (denom_row[:, None] * set_size * n * K)
-    cot = (C + C.T) @ E
+    S *= (1.0 / (denom_row * (set_size * nK)))[:, None]
+    # (W + W.T) @ E from two (m, nK) products: W.T @ E is about 3x slower.
+    cot = (Et @ S + Et @ S.T).T
+    block_sums = E.reshape(n, K, -1).sum(axis=1)
+    cot -= np.repeat(block_sums * (2.0 / (n * K * K)), K, axis=0)
     grad = encoder.backward_batch(params, cache, cot)
-    return value, grad, per_sample_g
+    return value, grad, per_sample_g, eps
 
 
 def oracle_F(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -179,14 +231,15 @@ def oracle_F(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     The alignment term averages over ordered view pairs including k = k'.
     Refuses instances with n*K above the enumeration guard.
     """
-    value, grad, per_sample_g = _oracle_core(params, cfg, ds, fam, want_grad=True)
-    return OracleResult(value=value, grad=grad, per_sample_g=per_sample_g)
+    value, grad, per_sample_g, eps = _oracle_core(params, cfg, ds, fam, want_grad=True)
+    return OracleResult(value=value, grad=grad, per_sample_g=per_sample_g,
+                        eps_sq_mean=eps)
 
 
 def oracle_value(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily) -> float:
     """Objective value only (cheaper path for finite-difference checks)."""
-    value, _, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
+    value, _, _, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
     return value
 
 
@@ -212,14 +265,5 @@ def aug_consistency_eps(params, ds: Dataset, fam: AugmentationFamily, i: int) ->
 
 def aug_consistency_eps_mean(params, ds: Dataset, fam: AugmentationFamily) -> float:
     """Mean of aug_consistency_eps over all samples (one shared embedding pass)."""
-    X = all_views(ds, fam)
-    E, _ = encoder.encode_batch(params, X)
-    n, K = ds.n, fam.K
-    S = E @ E.T
-    total = 0.0
-    for i in range(n):
-        rows = S[i * K:(i + 1) * K]
-        mask = np.ones(n * K, dtype=bool)
-        mask[i * K:(i + 1) * K] = False
-        total += float(np.mean(2.0 * rows[:, mask].var(axis=0)))
-    return total / n
+    *_, S, own = _similarities(params, ds, fam)
+    return _eps_sq_mean(S, own)

@@ -102,6 +102,17 @@ def test_numeric_blowup_exits_with_numeric_code(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_overflowing_embedding_norm_exits_with_numeric_code(capsys):
+    # The weights stay finite but the embedding norm overflows to inf,
+    # which would otherwise divide every embedding down to zero.
+    code = main(["train", "optimizer.eta=1e300", "optimizer.steps=3",
+                 "dataset.n=8", "optimizer.batch_size=4"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("numeric error") and err.count("\n") == 1
+
+
 def test_missing_config_file_exits_with_io_code(capsys):
     assert main(["train", "does-not-exist.cfg"]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err

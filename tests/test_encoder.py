@@ -72,6 +72,14 @@ def test_encode_degenerate_raises():
         encode(params, np.ones(3))
 
 
+@pytest.mark.parametrize("scale", [1e300, np.nan])
+def test_encode_non_finite_norm_raises(scale):
+    # 1e300 keeps the weights finite but overflows the norm to inf.
+    params = EncoderParams(architecture="linear", W1=np.eye(2))
+    with pytest.raises(DegenerateEmbeddingError, match="not finite"):
+        encode_batch(params, np.array([[1.0, 0.0], [scale, scale]]))
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_backward_batch_matches_finite_differences(arch):
     params = init_encoder(arch, 4, 3, d_hidden=5, seed=6)
