@@ -1,10 +1,10 @@
 """Desk-scale contrastive objectives, their exact oracles, and the
 mini-batch optimizers that approximate them."""
 
-from .bimodal import (BimodalState, PairedDataset, TwowayOracleResult,
-                      load_paired, make_bimodal_state, save_paired,
-                      twoway_estimator, twoway_oracle_F, twoway_oracle_value,
-                      twoway_step, twoway_update_u)
+from .bimodal import (PairedDataset, TwowayOracleResult, load_paired,
+                      make_bimodal_state, save_paired, twoway_estimator,
+                      twoway_oracle_F, twoway_oracle_value, twoway_step,
+                      twoway_update_u)
 from .embed_core import (AugmentationFamily, Dataset, DegenerateInputError,
                          MiniBatch, MinibatchSampler, all_views,
                          apply_augmentation, batch_views, cosine_sim,
@@ -23,9 +23,8 @@ from .objective import (GlobalObjectiveConfig, OracleResult, OracleSizeError,
                         aug_consistency_eps, aug_consistency_eps_mean,
                         g_exact, g_minibatch, global_loss_v1, global_loss_v2,
                         local_loss, oracle_F, oracle_value)
-from .optimizers import (NumericError, SimclrState, SogclrState, StepReport,
-                         dcl_surrogate, load_sogclr_state, make_simclr_state,
-                         make_sogclr_state, save_sogclr_state,
+from .optimizers import (NumericError, OptimizerState, StepReport,
+                         dcl_surrogate, make_simclr_state, make_sogclr_state,
                          simclr_batch_loss, simclr_estimator, simclr_step,
                          sogclr_estimator, sogclr_step, sogclr_update_u)
 

@@ -23,14 +23,13 @@ lagged), mirroring the unimodal optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoder
 from .objective import GlobalObjectiveConfig, OracleSizeError
-from .optimizers import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STEP_RULES,
-                         U_LAG_MODES, NumericError)
+from .optimizers import NumericError, OptimizerState
 
 DEFAULT_TAU = 0.07
 TWOWAY_ORACLE_GUARD = 1000
@@ -76,55 +75,13 @@ class TwowayOracleResult:
     g_text: np.ndarray
 
 
-@dataclass
-class BimodalState:
-    """Dual per-sample statistics plus the shared step machinery. The
-    momentum buffer v spans the concatenated (image, text) parameters."""
-
-    u_image: np.ndarray
-    u_text: np.ndarray
-    eta: float
-    gamma: float = 0.8
-    beta: float = 0.9
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_rule: str = "momentum"
-    u_lag: str = "fresh"
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    adam_t: int = 0
-
-    def __post_init__(self):
-        if not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step rule: {self.step_rule!r}")
-        if self.u_lag not in U_LAG_MODES:
-            raise ValueError(f"unknown u_lag mode: {self.u_lag!r}")
-        for name in ("u_image", "u_text"):
-            u = np.asarray(getattr(self, name), dtype=float)
-            if np.any(~np.isfinite(u)) or np.any(u < 0):
-                raise ValueError(f"{name} entries must be finite and nonnegative")
-            setattr(self, name, u)
-        if self.u_image.shape != self.u_text.shape:
-            raise ValueError("u_image and u_text must have the same length")
-
-
 def make_bimodal_state(n: int, d: int, eta: float, gamma: float = 0.8,
                        beta: float = 0.9, step_rule: str = "momentum",
-                       u_lag: str = "fresh") -> BimodalState:
-    """Zero-initialized statistics for n pairs and d = d_image + d_text
-    concatenated parameters."""
-    state = BimodalState(u_image=np.zeros(n), u_text=np.zeros(n), eta=eta,
-                         gamma=gamma, beta=beta, v=np.zeros(d),
-                         step_rule=step_rule, u_lag=u_lag)
-    if step_rule == "adam_style":
-        state.adam_m = np.zeros(d)
-        state.adam_v = np.zeros(d)
-    return state
+                       u_lag: str = "fresh") -> OptimizerState:
+    """Zero-initialized statistics (rows u_image, u_text) for n pairs and
+    d = d_image + d_text concatenated parameters."""
+    return OptimizerState(eta=eta, beta=beta, gamma=gamma, step_rule=step_rule,
+                          u_lag=u_lag, u=np.zeros((2, n)), v=np.zeros(d))
 
 
 def pair_to_flat(params_image, params_text) -> np.ndarray:
@@ -168,6 +125,23 @@ def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
                       g_image=expS.mean(axis=1), g_text=expS.mean(axis=0))
 
 
+def _pair_grad(params_image, params_text, stats: _PairStats,
+               denom_image: np.ndarray, denom_text: np.ndarray) -> np.ndarray:
+    """Gradient over concatenated (image, text) parameters of the two-way
+    expression over the rows of stats, with the given row and column
+    denominators eps0 + (mass or statistic)."""
+    B = stats.S.shape[0]
+    C = stats.expS / B ** 2 * (1.0 / denom_image[:, None]
+                               + 1.0 / denom_text[None, :])
+    sl = np.arange(B)
+    C[sl, sl] -= 2.0 / B
+    grad_i = encoder.backward_batch(params_image, stats.cache_image,
+                                    C @ stats.ET)
+    grad_t = encoder.backward_batch(params_text, stats.cache_text,
+                                    C.T @ stats.EI)
+    return np.concatenate([grad_i, grad_t])
+
+
 def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
                  ds: PairedDataset, want_grad: bool) -> TwowayOracleResult:
     n = ds.n
@@ -181,16 +155,8 @@ def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
     value = float(-2.0 * np.trace(stats.S) / n
                   + cfg.tau * np.mean(np.log(di))
                   + cfg.tau * np.mean(np.log(dt)))
-    grad = None
-    if want_grad:
-        C = stats.expS / n ** 2 * (1.0 / di[:, None] + 1.0 / dt[None, :])
-        sl = np.arange(n)
-        C[sl, sl] -= 2.0 / n
-        grad_i = encoder.backward_batch(params_image, stats.cache_image,
-                                        C @ stats.ET)
-        grad_t = encoder.backward_batch(params_text, stats.cache_text,
-                                        C.T @ stats.EI)
-        grad = np.concatenate([grad_i, grad_t])
+    grad = (_pair_grad(params_image, params_text, stats, di, dt)
+            if want_grad else None)
     return TwowayOracleResult(value=value, grad=grad,
                               g_image=stats.g_image, g_text=stats.g_text)
 
@@ -208,93 +174,78 @@ def twoway_oracle_value(params_image, params_text, cfg: GlobalObjectiveConfig,
                         want_grad=False).value
 
 
-def _batch_indices(indices) -> np.ndarray:
+def _batch_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
+                 indices, ds: PairedDataset) -> tuple[np.ndarray, _PairStats]:
+    """The batch's indices as an array, and the paired statistics of its rows."""
     idx = np.asarray(indices, dtype=int)
     if idx.ndim != 1 or idx.shape[0] < 2:
         raise ValueError("a bimodal batch needs at least 2 indices")
-    return idx
+    return idx, _paired_stats(params_image, params_text, cfg,
+                              ds.image[idx], ds.text[idx])
 
 
-def twoway_update_u(state: BimodalState, params_image, params_text,
+def _blend_u(state: OptimizerState, idx: np.ndarray,
+             stats: _PairStats) -> np.ndarray:
+    """u <- (1-gamma) u + gamma gbar(batch) on both sides, batch entries only;
+    returns the new (2, B) values. A repeated index keeps its last slot."""
+    u_new = ((1.0 - state.gamma) * state.u[:, idx]
+             + state.gamma * np.stack([stats.g_image, stats.g_text]))
+    state.u[:, idx] = u_new
+    return u_new
+
+
+def _estimate(params_image, params_text, cfg: GlobalObjectiveConfig,
+              state: OptimizerState, idx: np.ndarray,
+              stats: _PairStats) -> np.ndarray:
+    """Gradient estimate with the statistics exactly as stored in state."""
+    u = state.u[:, idx]
+    if np.any(u <= 0):
+        raise NumericError("nonpositive u statistic at use time "
+                           "(update u before estimating)")
+    return _pair_grad(params_image, params_text, stats,
+                      cfg.eps0 + u[0], cfg.eps0 + u[1])
+
+
+def twoway_update_u(state: OptimizerState, params_image, params_text,
                     cfg: GlobalObjectiveConfig, indices,
                     ds: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
     """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
     only. Returns the new (u_image, u_text) values in slot order."""
-    idx = _batch_indices(indices)
-    stats = _paired_stats(params_image, params_text, cfg,
-                          ds.image[idx], ds.text[idx])
-    u_i = (1.0 - state.gamma) * state.u_image[idx] + state.gamma * stats.g_image
-    u_t = (1.0 - state.gamma) * state.u_text[idx] + state.gamma * stats.g_text
-    state.u_image[idx] = u_i
-    state.u_text[idx] = u_t
-    return u_i, u_t
+    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
+    u_new = _blend_u(state, idx, stats)
+    return u_new[0], u_new[1]
 
 
-def twoway_estimator(state: BimodalState, params_image, params_text,
+def twoway_estimator(state: OptimizerState, params_image, params_text,
                      cfg: GlobalObjectiveConfig, indices,
                      ds: PairedDataset) -> np.ndarray:
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
-    idx = _batch_indices(indices)
-    B = idx.shape[0]
-    u_i = state.u_image[idx]
-    u_t = state.u_text[idx]
-    if np.any(u_i <= 0) or np.any(u_t <= 0):
-        raise NumericError("nonpositive u statistic at use time "
-                           "(update u before estimating)")
-    stats = _paired_stats(params_image, params_text, cfg,
-                          ds.image[idx], ds.text[idx])
-    C = stats.expS / B ** 2 * (1.0 / (cfg.eps0 + u_i)[:, None]
-                               + 1.0 / (cfg.eps0 + u_t)[None, :])
-    sl = np.arange(B)
-    C[sl, sl] -= 2.0 / B
-    grad_i = encoder.backward_batch(params_image, stats.cache_image,
-                                    C @ stats.ET)
-    grad_t = encoder.backward_batch(params_text, stats.cache_text,
-                                    C.T @ stats.EI)
-    return np.concatenate([grad_i, grad_t])
+    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
+    return _estimate(params_image, params_text, cfg, state, idx, stats)
 
 
-def twoway_step(state: BimodalState, params_image, params_text,
+def twoway_step(state: OptimizerState, params_image, params_text,
                 cfg: GlobalObjectiveConfig, indices, ds: PairedDataset):
-    """One optimizer step over both parameter blocks jointly.
+    """One optimizer step over both parameter blocks jointly, from one pass
+    over the batch.
 
     Fresh mode refreshes u from this batch before forming the estimator;
     lagged mode estimates with the previous u (seeding zero entries with the
     current batch masses so the first step is well defined) and refreshes
     afterwards.
     """
-    idx = _batch_indices(indices)
+    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
     if state.u_lag == "fresh":
-        twoway_update_u(state, params_image, params_text, cfg, idx, ds)
-        est = twoway_estimator(state, params_image, params_text, cfg, idx, ds)
+        _blend_u(state, idx, stats)
+        est = _estimate(params_image, params_text, cfg, state, idx, stats)
     else:
-        cold_i = state.u_image[idx] == 0
-        cold_t = state.u_text[idx] == 0
-        if cold_i.any() or cold_t.any():
-            stats = _paired_stats(params_image, params_text, cfg,
-                                  ds.image[idx], ds.text[idx])
-            ui = state.u_image[idx]
-            ut = state.u_text[idx]
-            state.u_image[idx] = np.where(cold_i, stats.g_image, ui)
-            state.u_text[idx] = np.where(cold_t, stats.g_text, ut)
-        est = twoway_estimator(state, params_image, params_text, cfg, idx, ds)
-        twoway_update_u(state, params_image, params_text, cfg, idx, ds)
-    if not np.isfinite(est).all():
-        raise NumericError("non-finite two-way estimator")
-    w = pair_to_flat(params_image, params_text)
-    if state.step_rule == "momentum":
-        state.v = (1.0 - state.beta) * state.v + state.beta * est
-        w = w - state.eta * state.v
-    else:
-        state.adam_t += 1
-        state.adam_m = ADAM_BETA1 * state.adam_m + (1.0 - ADAM_BETA1) * est
-        state.adam_v = ADAM_BETA2 * state.adam_v + (1.0 - ADAM_BETA2) * est ** 2
-        m_hat = state.adam_m / (1.0 - ADAM_BETA1 ** state.adam_t)
-        v_hat = state.adam_v / (1.0 - ADAM_BETA2 ** state.adam_t)
-        w = w - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.isfinite(w).all():
-        raise NumericError("non-finite parameter vector")
+        u = state.u[:, idx]
+        state.u[:, idx] = np.where(u == 0, np.stack([stats.g_image,
+                                                     stats.g_text]), u)
+        est = _estimate(params_image, params_text, cfg, state, idx, stats)
+        _blend_u(state, idx, stats)
+    w = state.apply(pair_to_flat(params_image, params_text), est)
     return flat_to_pair(params_image, params_text, w)
 
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 gradient check failed, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -76,8 +77,8 @@ def _cmd_gen(args) -> int:
         raise ConfigError("dataset.n must be >= 2")
     if config.d_in < 1 or config.d_text < 1:
         raise ConfigError("dataset dimensions must be >= 1")
-    if config.separation < 0:
-        raise ConfigError("dataset.separation must be >= 0")
+    if not 0 <= config.separation < math.inf:
+        raise ConfigError("dataset.separation must be finite and >= 0")
     if config.algo == "bimodal_sogclr":
         ds = harness.generate_synthetic_pairs(config.n, config.d_in,
                                               config.d_text, config.clusters,

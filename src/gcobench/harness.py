@@ -15,13 +15,14 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import bimodal
-from .bimodal import (PairedDataset, make_bimodal_state, twoway_estimator,
-                      twoway_oracle_F, twoway_oracle_value, twoway_step)
+from .bimodal import (PairedDataset, make_bimodal_state, pair_to_flat,
+                      twoway_estimator, twoway_oracle_F, twoway_oracle_value,
+                      twoway_step)
 from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
                          IndexSampler, make_augmentation_family,
                          sample_minibatch)
@@ -101,14 +102,6 @@ class RunConfig:
     sweep_path: str = ""
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_opt_float(raw: str):
     return None if raw.lower() in ("none", "auto") else float(raw)
 
@@ -122,10 +115,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -134,40 +123,40 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
 
 
 KEY_MAP = {
-    "dataset.n": ("n", _parse_int),
-    "dataset.d_in": ("d_in", _parse_int),
-    "dataset.clusters": ("clusters", _parse_int),
-    "dataset.separation": ("separation", _parse_float),
-    "dataset.seed": ("data_seed", _parse_int),
-    "dataset.d_text": ("d_text", _parse_int),
-    "aug.k": ("aug_k", _parse_int),
-    "aug.scale": ("aug_scale", _parse_float),
-    "aug.seed": ("aug_seed", _parse_int),
-    "encoder.arch": ("arch", _parse_str),
-    "encoder.d_hidden": ("d_hidden", _parse_int),
-    "encoder.m": ("m_embed", _parse_int),
-    "encoder.seed": ("encoder_seed", _parse_int),
-    "encoder.init_scale": ("init_scale", _parse_float),
+    "dataset.n": ("n", int),
+    "dataset.d_in": ("d_in", int),
+    "dataset.clusters": ("clusters", int),
+    "dataset.separation": ("separation", float),
+    "dataset.seed": ("data_seed", int),
+    "dataset.d_text": ("d_text", int),
+    "aug.k": ("aug_k", int),
+    "aug.scale": ("aug_scale", float),
+    "aug.seed": ("aug_seed", int),
+    "encoder.arch": ("arch", str),
+    "encoder.d_hidden": ("d_hidden", int),
+    "encoder.m": ("m_embed", int),
+    "encoder.seed": ("encoder_seed", int),
+    "encoder.init_scale": ("init_scale", float),
     "objective.tau": ("tau", _parse_opt_float),
-    "objective.eps0": ("eps0", _parse_float),
-    "objective.version": ("version", _parse_str),
-    "optimizer.algo": ("algo", _parse_str),
-    "optimizer.eta": ("eta", _parse_float),
-    "optimizer.beta": ("beta", _parse_float),
-    "optimizer.gamma": ("gamma", _parse_float),
-    "optimizer.batch_size": ("batch_size", _parse_int),
-    "optimizer.steps": ("steps", _parse_int),
-    "optimizer.sampling": ("sampling", _parse_str),
-    "optimizer.u_lag": ("u_lag", _parse_str),
-    "optimizer.seed": ("train_seed", _parse_int),
-    "metrics.cadence": ("cadence", _parse_int),
+    "objective.eps0": ("eps0", float),
+    "objective.version": ("version", str),
+    "optimizer.algo": ("algo", str),
+    "optimizer.eta": ("eta", float),
+    "optimizer.beta": ("beta", float),
+    "optimizer.gamma": ("gamma", float),
+    "optimizer.batch_size": ("batch_size", int),
+    "optimizer.steps": ("steps", int),
+    "optimizer.sampling": ("sampling", str),
+    "optimizer.u_lag": ("u_lag", str),
+    "optimizer.seed": ("train_seed", int),
+    "metrics.cadence": ("cadence", int),
     "metrics.timing": ("timing", _parse_bool),
-    "metrics.path": ("metrics_path", _parse_str),
-    "metrics.format": ("metrics_format", _parse_str),
-    "checkpoint.path": ("checkpoint_path", _parse_str),
+    "metrics.path": ("metrics_path", str),
+    "metrics.format": ("metrics_format", str),
+    "checkpoint.path": ("checkpoint_path", str),
     "sweep.batch_sizes": ("sweep_batch_sizes", _parse_int_tuple),
     "sweep.seeds": ("sweep_seeds", _parse_int_tuple),
-    "sweep.path": ("sweep_path", _parse_str),
+    "sweep.path": ("sweep_path", str),
 }
 
 
@@ -223,6 +212,11 @@ def validate_config(config: RunConfig) -> None:
         if not cond:
             raise ConfigError(msg)
 
+    keys = {name: key for key, (name, _) in KEY_MAP.items()}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float):
+            need(math.isfinite(value), f"{keys[f.name]} must be finite")
     need(config.n >= 2, "dataset.n must be >= 2")
     need(config.d_in >= 1, "dataset.d_in must be >= 1")
     need(config.clusters >= 1, "dataset.clusters must be >= 1")
@@ -308,117 +302,88 @@ def plateau(records) -> float:
     return float(np.mean([r.oracle_grad_norm_sq for r in records[-k:]]))
 
 
-def _train_unimodal(config: RunConfig):
-    ds = generate_synthetic(config.n, config.d_in, config.clusters,
-                            config.separation, config.data_seed)
-    fam = make_augmentation_family(config.d_in, config.aug_k,
-                                   config.aug_scale, config.aug_seed)
-    params = init_encoder(config.arch, config.d_in, config.m_embed,
-                          config.d_hidden, config.encoder_seed,
-                          config.init_scale)
+def _inputs(config: RunConfig, paired: bool):
+    """(dataset, augmentation family, encoder) of a unimodal run, or (pairs,
+    image encoder, text encoder) of a bimodal one. Values that pass
+    validate_config but not the builders (an augmentation scale whose deltas
+    overflow, say) are reported as ConfigError."""
+    def encoder(d_in: int, seed_shift: int = 0):
+        return init_encoder(config.arch, d_in, config.m_embed, config.d_hidden,
+                            config.encoder_seed + seed_shift, config.init_scale)
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if paired:
+                pairs = generate_synthetic_pairs(
+                    config.n, config.d_in, config.d_text, config.clusters,
+                    config.separation, config.data_seed)
+                return pairs, encoder(config.d_in), encoder(config.d_text, 1)
+            ds = generate_synthetic(config.n, config.d_in, config.clusters,
+                                    config.separation, config.data_seed)
+            fam = make_augmentation_family(config.d_in, config.aug_k,
+                                           config.aug_scale, config.aug_seed)
+            return ds, fam, encoder(config.d_in)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the run's inputs: {exc}") from exc
+
+
+def _unimodal_task(config: RunConfig):
+    """Initial params plus the step, measure and save closures of a simclr
+    or sogclr run. measure returns the record's objective_value,
+    oracle_grad_norm_sq, u_tracking_mse and eps_sq_mean, in that order."""
+    ds, fam, params = _inputs(config, paired=False)
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = MinibatchSampler(ds, fam, config.batch_size, rng, config.sampling)
     d = flatten_params(params).shape[0]
-
-    if config.algo == "simclr":
-        state = make_simclr_state(d, config.eta, beta=1.0)
-    elif config.algo == "simclr_momentum":
-        state = make_simclr_state(d, config.eta, beta=config.beta)
+    if config.algo in ("simclr", "simclr_momentum"):
+        beta = 1.0 if config.algo == "simclr" else config.beta
+        state = make_simclr_state(d, config.eta, beta=beta)
+        step_fn = simclr_step
     else:
         rule = "adam_style" if config.algo == "sogclr_adam" else "momentum"
         state = make_sogclr_state(config.n, d, config.eta, gamma=config.gamma,
                                   beta=config.beta, step_rule=rule,
                                   u_lag=config.u_lag)
-    has_u = config.algo in ("sogclr", "sogclr_adam")
+        step_fn = sogclr_step
 
-    records = []
-    start = time.perf_counter()
+    def step(params):
+        return step_fn(state, params, ocfg, sampler.next_batch(), ds, fam)
 
-    def record(step: int, params) -> None:
+    def measure(params):
         res = oracle_F(params, ocfg, ds, fam)
-        gsq = float(res.grad @ res.grad)
-        if has_u:
-            target = res.per_sample_g.mean(axis=1)
-            umse = float(np.mean((state.u - target) ** 2))
-        else:
-            umse = 0.0
-        ms = (time.perf_counter() - start) * 1000.0 if config.timing else 0.0
-        records.append(MetricsRecord(step=step, objective_value=res.value,
-                                     oracle_grad_norm_sq=gsq,
-                                     u_tracking_mse=umse,
-                                     eps_sq_mean=res.eps_sq_mean,
-                                     wall_clock_ms=ms))
+        umse = (float(np.mean((state.u - res.per_sample_g.mean(axis=1)) ** 2))
+                if state.u.size else 0.0)
+        return res.value, float(res.grad @ res.grad), umse, res.eps_sq_mean
 
-    record(0, params)
-    for t in range(1, config.steps + 1):
-        batch = sampler.next_batch()
-        try:
-            if has_u:
-                params = sogclr_step(state, params, ocfg, batch, ds, fam)
-            else:
-                params = simclr_step(state, params, ocfg, batch, ds, fam)
-        except NumericError as exc:
-            raise NumericError(f"step {t}: {exc}") from exc
-        if t % config.cadence == 0 or t == config.steps:
-            record(t, params)
-
-    if config.metrics_path:
-        emit_metrics(records, config.metrics_path, config.metrics_format)
-    if config.checkpoint_path:
-        save_encoder(params, config.checkpoint_path)
-    return records
+    return params, step, measure, save_encoder
 
 
-def _train_bimodal(config: RunConfig):
-    ds = generate_synthetic_pairs(config.n, config.d_in, config.d_text,
-                                  config.clusters, config.separation,
-                                  config.data_seed)
-    params_i = init_encoder(config.arch, config.d_in, config.m_embed,
-                            config.d_hidden, config.encoder_seed,
-                            config.init_scale)
-    params_t = init_encoder(config.arch, config.d_text, config.m_embed,
-                            config.d_hidden, config.encoder_seed + 1,
-                            config.init_scale)
+def _bimodal_task(config: RunConfig):
+    """Initial (image, text) params plus the step, measure and save closures
+    of a two-way run, as for _unimodal_task."""
+    ds, params_i, params_t = _inputs(config, paired=True)
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = IndexSampler(config.n, config.batch_size, rng, config.sampling)
-    d = (flatten_params(params_i).shape[0]
-         + flatten_params(params_t).shape[0])
+    d = pair_to_flat(params_i, params_t).shape[0]
     state = make_bimodal_state(config.n, d, config.eta, gamma=config.gamma,
                                beta=config.beta, u_lag=config.u_lag)
 
-    records = []
-    start = time.perf_counter()
+    def step(params):
+        return twoway_step(state, *params, ocfg, sampler.next_indices(), ds)
 
-    def record(step: int, params_i, params_t) -> None:
-        res = twoway_oracle_F(params_i, params_t, ocfg, ds)
-        gsq = float(res.grad @ res.grad)
+    def measure(params):
+        res = twoway_oracle_F(*params, ocfg, ds)
         umse = 0.5 * (float(np.mean((state.u_image - res.g_image) ** 2))
                       + float(np.mean((state.u_text - res.g_text) ** 2)))
-        ms = (time.perf_counter() - start) * 1000.0 if config.timing else 0.0
-        records.append(MetricsRecord(step=step, objective_value=res.value,
-                                     oracle_grad_norm_sq=gsq,
-                                     u_tracking_mse=umse, eps_sq_mean=0.0,
-                                     wall_clock_ms=ms))
+        return res.value, float(res.grad @ res.grad), umse, 0.0
 
-    record(0, params_i, params_t)
-    for t in range(1, config.steps + 1):
-        idx = sampler.next_indices()
-        try:
-            params_i, params_t = twoway_step(state, params_i, params_t, ocfg,
-                                             idx, ds)
-        except NumericError as exc:
-            raise NumericError(f"step {t}: {exc}") from exc
-        if t % config.cadence == 0 or t == config.steps:
-            record(t, params_i, params_t)
+    def save(params, path: str) -> None:
+        save_encoder(params[0], path + ".image")
+        save_encoder(params[1], path + ".text")
 
-    if config.metrics_path:
-        emit_metrics(records, config.metrics_path, config.metrics_format)
-    if config.checkpoint_path:
-        save_encoder(params_i, config.checkpoint_path + ".image")
-        save_encoder(params_t, config.checkpoint_path + ".text")
-    return records
+    return (params_i, params_t), step, measure, save
 
 
 def train(config: RunConfig):
@@ -427,9 +392,30 @@ def train(config: RunConfig):
     Emits a baseline record at step 0, one per cadence tick, and one at the
     final step; writes metrics and checkpoint files when paths are set."""
     validate_config(config)
-    if config.algo == "bimodal_sogclr":
-        return _train_bimodal(config)
-    return _train_unimodal(config)
+    task = _bimodal_task if config.algo == "bimodal_sogclr" else _unimodal_task
+    params, step, measure, save = task(config)
+    records = []
+    start = time.perf_counter()
+
+    def record(t: int, params) -> None:
+        values = measure(params)
+        ms = (time.perf_counter() - start) * 1000.0 if config.timing else 0.0
+        records.append(MetricsRecord(t, *values, ms))
+
+    record(0, params)
+    for t in range(1, config.steps + 1):
+        try:
+            params = step(params)
+        except NumericError as exc:
+            raise NumericError(f"step {t}: {exc}") from exc
+        if t % config.cadence == 0 or t == config.steps:
+            record(t, params)
+
+    if config.metrics_path:
+        emit_metrics(records, config.metrics_path, config.metrics_format)
+    if config.checkpoint_path:
+        save(params, config.checkpoint_path)
+    return records
 
 
 @dataclass(frozen=True)
@@ -529,19 +515,8 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     tau = config.tau if config.tau is not None else DEFAULT_TAU
     tau_bi = config.tau if config.tau is not None else bimodal.DEFAULT_TAU
 
-    ds = generate_synthetic(config.n, config.d_in, config.clusters,
-                            config.separation, config.data_seed)
-    fam = make_augmentation_family(config.d_in, config.aug_k,
-                                   config.aug_scale, config.aug_seed)
-    params = init_encoder(config.arch, config.d_in, config.m_embed,
-                          config.d_hidden, config.encoder_seed,
-                          config.init_scale)
-    pds = generate_synthetic_pairs(config.n, config.d_in, config.d_text,
-                                   config.clusters, config.separation,
-                                   config.data_seed)
-    params_ti = init_encoder(config.arch, config.d_text, config.m_embed,
-                             config.d_hidden, config.encoder_seed + 1,
-                             config.init_scale)
+    ds, fam, params = _inputs(config, paired=False)
+    pds, _, params_ti = _inputs(config, paired=True)
     d_uni = flatten_params(params).shape[0]
     d_pair = d_uni + flatten_params(params_ti).shape[0]
     if max(d_uni, d_pair) > GRADCHECK_GUARD:
@@ -613,8 +588,7 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
 
     # Two-way estimator with statistics planted at their exact values.
     state_bi = make_bimodal_state(config.n, d_pair, eta=config.eta)
-    state_bi.u_image[:] = res_bi.g_image
-    state_bi.u_text[:] = res_bi.g_text
+    state_bi.u[:] = res_bi.g_image, res_bi.g_text
     est_bi = twoway_estimator(state_bi, params, params_ti, cfg_bi,
                               np.arange(config.n), pds)
     checks.append(GradcheckResult(name="twoway_planted_u",

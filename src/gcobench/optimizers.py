@@ -50,35 +50,21 @@ class NumericError(RuntimeError):
 
 
 @dataclass
-class SimclrState:
-    """Step size, momentum coefficient, and the momentum buffer."""
+class OptimizerState:
+    """Step size and rule, the buffers of the step rule over the flat
+    parameter vector, and the per-sample moving averages u.
+
+    u is empty for simclr, has shape (n,) for sogclr, and has shape (2, n)
+    for the bimodal objective, whose rows are u_image and u_text.
+    """
 
     eta: float
-    beta: float = 1.0
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        if not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-
-
-def make_simclr_state(d: int, eta: float, beta: float = 1.0) -> SimclrState:
-    return SimclrState(eta=eta, beta=beta, v=np.zeros(d))
-
-
-@dataclass
-class SogclrState:
-    """Per-sample moving averages u plus the shared step machinery."""
-
-    u: np.ndarray
-    eta: float
-    gamma: float = 0.8
     beta: float = 0.9
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gamma: float = 0.8
     step_rule: str = "momentum"
     u_lag: str = "fresh"
+    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
     adam_t: int = 0
@@ -95,32 +81,69 @@ class SogclrState:
         if self.u_lag not in U_LAG_MODES:
             raise ValueError(f"unknown u_lag mode: {self.u_lag!r}")
         u = np.asarray(self.u, dtype=float)
+        if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[0] != 2):
+            raise ValueError("u must have shape (n,) or (2, n)")
         if np.any(~np.isfinite(u)) or np.any(u < 0):
             raise ValueError("u entries must be finite and nonnegative")
         self.u = u
+        if self.step_rule == "adam_style" and self.adam_m is None:
+            self.adam_m = np.zeros_like(self.v)
+            self.adam_v = np.zeros_like(self.v)
+
+    @property
+    def u_image(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def u_text(self) -> np.ndarray:
+        return self.u[1]
+
+    def apply(self, w: np.ndarray, est: np.ndarray) -> np.ndarray:
+        """One step of the configured rule from flat parameters w along the
+        gradient estimate est; returns the new flat parameters."""
+        _check_finite(est, "estimator")
+        if self.step_rule == "momentum":
+            # v <- (1-beta) v + beta est; beta = 1 is the plain update.
+            self.v = (1.0 - self.beta) * self.v + self.beta * est
+            w = w - self.eta * self.v
+        else:
+            # Bias-corrected moments on the estimator itself; the momentum
+            # buffer is unused under this rule.
+            self.adam_t += 1
+            self.adam_m = ADAM_BETA1 * self.adam_m + (1.0 - ADAM_BETA1) * est
+            self.adam_v = ADAM_BETA2 * self.adam_v + (1.0 - ADAM_BETA2) * est ** 2
+            m_hat = self.adam_m / (1.0 - ADAM_BETA1 ** self.adam_t)
+            v_hat = self.adam_v / (1.0 - ADAM_BETA2 ** self.adam_t)
+            w = w - self.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        _check_finite(w, "parameter vector")
+        return w
+
+
+def _check_finite(vec: np.ndarray, what: str) -> None:
+    if not np.isfinite(vec).all():
+        raise NumericError(f"non-finite {what}")
+
+
+def make_simclr_state(d: int, eta: float, beta: float = 1.0) -> OptimizerState:
+    """Momentum buffer for d parameters and no statistics."""
+    return OptimizerState(eta=eta, beta=beta, v=np.zeros(d))
 
 
 def make_sogclr_state(n: int, d: int, eta: float, gamma: float = 0.8,
                       beta: float = 0.9, step_rule: str = "momentum",
-                      u_lag: str = "fresh") -> SogclrState:
+                      u_lag: str = "fresh") -> OptimizerState:
     """Zero-initialized statistics and buffers for n samples and d parameters."""
-    state = SogclrState(u=np.zeros(n), eta=eta, gamma=gamma, beta=beta,
-                        v=np.zeros(d), step_rule=step_rule, u_lag=u_lag)
-    if step_rule == "adam_style":
-        state.adam_m = np.zeros(d)
-        state.adam_v = np.zeros(d)
-    return state
+    return OptimizerState(eta=eta, beta=beta, gamma=gamma, step_rule=step_rule,
+                          u_lag=u_lag, u=np.zeros(n), v=np.zeros(d))
 
 
 @dataclass
 class StepReport:
-    """Estimator output of one batch: the gradient estimate m_t, the
-    post-update u values of the batch members, and the frozen-weight
-    surrogate loss whose params-gradient equals m_t."""
+    """Estimator output of one batch: the gradient estimate m_t and the
+    post-update u values of the batch members."""
 
     estimator: np.ndarray
     u_batch_values: np.ndarray
-    surrogate_loss: float
 
 
 @dataclass
@@ -193,22 +216,16 @@ def simclr_batch_loss(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     return float(np.mean(-pos + 0.5 * (f_a + f_b)))
 
 
-def _check_finite(vec: np.ndarray, what: str) -> None:
-    if not np.isfinite(vec).all():
-        raise NumericError(f"non-finite {what}")
-
-
-def simclr_step(state: SimclrState, params, cfg: GlobalObjectiveConfig,
+def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                 batch: MiniBatch, ds: Dataset, fam: AugmentationFamily):
-    """v <- (1-beta) v + beta estimator; w <- w - eta v. beta = 1 is the plain update."""
+    """Apply the step rule (momentum; beta = 1 is the plain update) along the
+    in-batch estimator."""
     est = simclr_estimator(params, cfg, batch, ds, fam)
-    _check_finite(est, "simclr estimator")
-    state.v = (1.0 - state.beta) * state.v + state.beta * est
-    w = encoder.flatten_params(params) - state.eta * state.v
+    w = state.apply(encoder.flatten_params(params), est)
     return encoder.unflatten_params(params, w)
 
 
-def _sogclr_denoms(state: SogclrState, stats: _BatchStats, batch: MiniBatch):
+def _sogclr_denoms(state: OptimizerState, stats: _BatchStats, batch: MiniBatch):
     """Per-view estimator denominators and the post-update stored u values."""
     u_prev = state.u[batch.indices]
     est = 0.5 * (stats.gbar_a + stats.gbar_b)
@@ -226,7 +243,7 @@ def _sogclr_denoms(state: SogclrState, stats: _BatchStats, batch: MiniBatch):
     return denom_a, denom_b, u_new
 
 
-def sogclr_update_u(state: SogclrState, params, cfg: GlobalObjectiveConfig,
+def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                     batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> np.ndarray:
     """u_i <- (1-gamma) u_i + gamma (gbar_a + gbar_b)/2 for batch members only.
 
@@ -249,20 +266,17 @@ def _surrogate_value(stats_S: np.ndarray, PA: np.ndarray, PB: np.ndarray,
     return float(np.mean(-pos + neg))
 
 
-def sogclr_estimator(state: SogclrState, params, cfg: GlobalObjectiveConfig,
+def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                      batch: MiniBatch, ds: Dataset,
                      fam: AugmentationFamily) -> StepReport:
     """Moving-average-corrected gradient estimate m_t. Does not mutate state."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
     denom_a, denom_b, u_new = _sogclr_denoms(state, stats, batch)
     est = _assemble_estimator(params, cfg, stats, denom_a, denom_b)
-    PA = stats.EA / (cfg.eps0 + denom_a)[:, None]
-    PB = stats.EB / (cfg.eps0 + denom_b)[:, None]
-    sur = _surrogate_value(stats.S, PA, PB, stats.cnt)
-    return StepReport(estimator=est, u_batch_values=u_new, surrogate_loss=sur)
+    return StepReport(estimator=est, u_batch_values=u_new)
 
 
-def dcl_surrogate(state: SogclrState, params, cfg: GlobalObjectiveConfig,
+def dcl_surrogate(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                   batch: MiniBatch, ds: Dataset, fam: AugmentationFamily):
     """Frozen-weight scalar surrogate loss.
 
@@ -287,65 +301,10 @@ def dcl_surrogate(state: SogclrState, params, cfg: GlobalObjectiveConfig,
     return value, eval_fn
 
 
-def sogclr_step(state: SogclrState, params, cfg: GlobalObjectiveConfig,
+def sogclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                 batch: MiniBatch, ds: Dataset, fam: AugmentationFamily):
     """Update u from this batch, form m_t, then apply the configured step rule."""
     report = sogclr_estimator(state, params, cfg, batch, ds, fam)
     state.u[batch.indices] = report.u_batch_values
-    est = report.estimator
-    _check_finite(est, "sogclr estimator")
-    w = encoder.flatten_params(params)
-    if state.step_rule == "momentum":
-        state.v = (1.0 - state.beta) * state.v + state.beta * est
-        w = w - state.eta * state.v
-    else:
-        # Bias-corrected moments on the estimator itself; the momentum buffer
-        # is unused under this rule.
-        state.adam_t += 1
-        state.adam_m = ADAM_BETA1 * state.adam_m + (1.0 - ADAM_BETA1) * est
-        state.adam_v = ADAM_BETA2 * state.adam_v + (1.0 - ADAM_BETA2) * est ** 2
-        m_hat = state.adam_m / (1.0 - ADAM_BETA1 ** state.adam_t)
-        v_hat = state.adam_v / (1.0 - ADAM_BETA2 ** state.adam_t)
-        w = w - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    _check_finite(w, "parameter vector")
+    w = state.apply(encoder.flatten_params(params), report.estimator)
     return encoder.unflatten_params(params, w)
-
-
-def save_sogclr_state(state: SogclrState, path: str) -> None:
-    """Text checkpoint: hyperparameter header, then u, v, and adam moments."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"sogclr {state.u.shape[0]} {state.v.shape[0]} "
-                 f"{repr(state.eta)} {repr(state.gamma)} {repr(state.beta)} "
-                 f"{state.step_rule} {state.u_lag} {state.adam_t}\n")
-        for name in ("u", "v"):
-            vec = getattr(state, name)
-            fh.write(" ".join(repr(float(x)) for x in vec) + "\n")
-        for name in ("adam_m", "adam_v"):
-            vec = getattr(state, name)
-            if vec is None:
-                fh.write("-\n")
-            else:
-                fh.write(" ".join(repr(float(x)) for x in vec) + "\n")
-
-
-def load_sogclr_state(path: str) -> SogclrState:
-    """Read a checkpoint written by save_sogclr_state."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        lines = [fh.readline().rstrip("\n") for _ in range(4)]
-    if not header or header[0] != "sogclr":
-        raise ValueError(f"not a sogclr state checkpoint: {path}")
-    n, d = int(header[1]), int(header[2])
-    eta, gamma, beta = float(header[3]), float(header[4]), float(header[5])
-    step_rule, u_lag, adam_t = header[6], header[7], int(header[8])
-
-    def parse(line):
-        return None if line == "-" else np.array([float(x) for x in line.split()])
-
-    u, v, adam_m, adam_v = (parse(line) for line in lines)
-    if u.shape[0] != n or v.shape[0] != d:
-        raise ValueError(f"checkpoint vector lengths do not match header in {path}")
-    state = SogclrState(u=u, eta=eta, gamma=gamma, beta=beta, v=v,
-                        step_rule=step_rule, u_lag=u_lag,
-                        adam_m=adam_m, adam_v=adam_v, adam_t=adam_t)
-    return state

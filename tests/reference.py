@@ -1,18 +1,30 @@
-"""Reference implementations kept verbatim from the first version of the
-package, before the enumeration oracle and the augmentation-consistency
-diagnostic were fused into one pass over one similarity matrix.
+"""Reference implementations kept verbatim from earlier versions of the
+package, as yardsticks for the code that replaced them.
 
-They are deliberately slow and wasteful (two encodes, a boolean n*K x n*K
-mask, a per-sample loop) and serve only as the yardstick the fused kernel
-is tested against.
+- The enumeration oracle and the augmentation-consistency diagnostic from
+  before they were fused into one pass over one similarity matrix. They are
+  deliberately slow and wasteful (two encodes, a boolean n*K x n*K mask, a
+  per-sample loop).
+- The three optimizer state classes and three step functions (with the
+  two-way statistics update and estimator they call) from before they were
+  folded into one OptimizerState and one step rule. A two-way step here
+  encodes its batch twice, or three times on a cold lagged step.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from gcobench import encoder
-from gcobench.embed_core import AugmentationFamily, Dataset, all_views
+from gcobench.bimodal import (PairedDataset, _paired_stats, flat_to_pair,
+                              pair_to_flat)
+from gcobench.embed_core import (AugmentationFamily, Dataset, MiniBatch,
+                                 all_views)
 from gcobench.objective import (ORACLE_GUARD, GlobalObjectiveConfig,
                                 OracleSizeError)
+from gcobench.optimizers import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STEP_RULES,
+                                 U_LAG_MODES, NumericError, _check_finite,
+                                 simclr_estimator, sogclr_estimator)
 
 
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -62,3 +74,241 @@ def aug_consistency_eps_mean(params, ds: Dataset, fam: AugmentationFamily) -> fl
         mask[i * K:(i + 1) * K] = False
         total += float(np.mean(2.0 * rows[:, mask].var(axis=0)))
     return total / n
+
+
+@dataclass
+class SimclrState:
+    """Step size, momentum coefficient, and the momentum buffer."""
+
+    eta: float
+    beta: float = 1.0
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        if not self.eta >= 0:
+            raise ValueError("eta must be nonnegative")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must lie in (0, 1]")
+
+
+def make_simclr_state(d: int, eta: float, beta: float = 1.0) -> SimclrState:
+    return SimclrState(eta=eta, beta=beta, v=np.zeros(d))
+
+
+@dataclass
+class SogclrState:
+    """Per-sample moving averages u plus the shared step machinery."""
+
+    u: np.ndarray
+    eta: float
+    gamma: float = 0.8
+    beta: float = 0.9
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    step_rule: str = "momentum"
+    u_lag: str = "fresh"
+    adam_m: np.ndarray | None = None
+    adam_v: np.ndarray | None = None
+    adam_t: int = 0
+
+    def __post_init__(self):
+        if not self.eta >= 0:
+            raise ValueError("eta must be nonnegative")
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must lie in (0, 1]")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must lie in (0, 1]")
+        if self.step_rule not in STEP_RULES:
+            raise ValueError(f"unknown step rule: {self.step_rule!r}")
+        if self.u_lag not in U_LAG_MODES:
+            raise ValueError(f"unknown u_lag mode: {self.u_lag!r}")
+        u = np.asarray(self.u, dtype=float)
+        if np.any(~np.isfinite(u)) or np.any(u < 0):
+            raise ValueError("u entries must be finite and nonnegative")
+        self.u = u
+
+
+def make_sogclr_state(n: int, d: int, eta: float, gamma: float = 0.8,
+                      beta: float = 0.9, step_rule: str = "momentum",
+                      u_lag: str = "fresh") -> SogclrState:
+    """Zero-initialized statistics and buffers for n samples and d parameters."""
+    state = SogclrState(u=np.zeros(n), eta=eta, gamma=gamma, beta=beta,
+                        v=np.zeros(d), step_rule=step_rule, u_lag=u_lag)
+    if step_rule == "adam_style":
+        state.adam_m = np.zeros(d)
+        state.adam_v = np.zeros(d)
+    return state
+
+
+def simclr_step(state: SimclrState, params, cfg: GlobalObjectiveConfig,
+                batch: MiniBatch, ds: Dataset, fam: AugmentationFamily):
+    """v <- (1-beta) v + beta estimator; w <- w - eta v. beta = 1 is the plain update."""
+    est = simclr_estimator(params, cfg, batch, ds, fam)
+    _check_finite(est, "simclr estimator")
+    state.v = (1.0 - state.beta) * state.v + state.beta * est
+    w = encoder.flatten_params(params) - state.eta * state.v
+    return encoder.unflatten_params(params, w)
+
+
+def sogclr_step(state: SogclrState, params, cfg: GlobalObjectiveConfig,
+                batch: MiniBatch, ds: Dataset, fam: AugmentationFamily):
+    """Update u from this batch, form m_t, then apply the configured step rule."""
+    report = sogclr_estimator(state, params, cfg, batch, ds, fam)
+    state.u[batch.indices] = report.u_batch_values
+    est = report.estimator
+    _check_finite(est, "sogclr estimator")
+    w = encoder.flatten_params(params)
+    if state.step_rule == "momentum":
+        state.v = (1.0 - state.beta) * state.v + state.beta * est
+        w = w - state.eta * state.v
+    else:
+        # Bias-corrected moments on the estimator itself; the momentum buffer
+        # is unused under this rule.
+        state.adam_t += 1
+        state.adam_m = ADAM_BETA1 * state.adam_m + (1.0 - ADAM_BETA1) * est
+        state.adam_v = ADAM_BETA2 * state.adam_v + (1.0 - ADAM_BETA2) * est ** 2
+        m_hat = state.adam_m / (1.0 - ADAM_BETA1 ** state.adam_t)
+        v_hat = state.adam_v / (1.0 - ADAM_BETA2 ** state.adam_t)
+        w = w - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    _check_finite(w, "parameter vector")
+    return encoder.unflatten_params(params, w)
+
+
+@dataclass
+class BimodalState:
+    """Dual per-sample statistics plus the shared step machinery. The
+    momentum buffer v spans the concatenated (image, text) parameters."""
+
+    u_image: np.ndarray
+    u_text: np.ndarray
+    eta: float
+    gamma: float = 0.8
+    beta: float = 0.9
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    step_rule: str = "momentum"
+    u_lag: str = "fresh"
+    adam_m: np.ndarray | None = None
+    adam_v: np.ndarray | None = None
+    adam_t: int = 0
+
+    def __post_init__(self):
+        if not self.eta >= 0:
+            raise ValueError("eta must be nonnegative")
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must lie in (0, 1]")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must lie in (0, 1]")
+        if self.step_rule not in STEP_RULES:
+            raise ValueError(f"unknown step rule: {self.step_rule!r}")
+        if self.u_lag not in U_LAG_MODES:
+            raise ValueError(f"unknown u_lag mode: {self.u_lag!r}")
+        for name in ("u_image", "u_text"):
+            u = np.asarray(getattr(self, name), dtype=float)
+            if np.any(~np.isfinite(u)) or np.any(u < 0):
+                raise ValueError(f"{name} entries must be finite and nonnegative")
+            setattr(self, name, u)
+        if self.u_image.shape != self.u_text.shape:
+            raise ValueError("u_image and u_text must have the same length")
+
+
+def make_bimodal_state(n: int, d: int, eta: float, gamma: float = 0.8,
+                       beta: float = 0.9, step_rule: str = "momentum",
+                       u_lag: str = "fresh") -> BimodalState:
+    """Zero-initialized statistics for n pairs and d = d_image + d_text
+    concatenated parameters."""
+    state = BimodalState(u_image=np.zeros(n), u_text=np.zeros(n), eta=eta,
+                         gamma=gamma, beta=beta, v=np.zeros(d),
+                         step_rule=step_rule, u_lag=u_lag)
+    if step_rule == "adam_style":
+        state.adam_m = np.zeros(d)
+        state.adam_v = np.zeros(d)
+    return state
+
+
+def _batch_indices(indices) -> np.ndarray:
+    idx = np.asarray(indices, dtype=int)
+    if idx.ndim != 1 or idx.shape[0] < 2:
+        raise ValueError("a bimodal batch needs at least 2 indices")
+    return idx
+
+
+def twoway_update_u(state: BimodalState, params_image, params_text,
+                    cfg: GlobalObjectiveConfig, indices,
+                    ds: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
+    only. Returns the new (u_image, u_text) values in slot order."""
+    idx = _batch_indices(indices)
+    stats = _paired_stats(params_image, params_text, cfg,
+                          ds.image[idx], ds.text[idx])
+    u_i = (1.0 - state.gamma) * state.u_image[idx] + state.gamma * stats.g_image
+    u_t = (1.0 - state.gamma) * state.u_text[idx] + state.gamma * stats.g_text
+    state.u_image[idx] = u_i
+    state.u_text[idx] = u_t
+    return u_i, u_t
+
+
+def twoway_estimator(state: BimodalState, params_image, params_text,
+                     cfg: GlobalObjectiveConfig, indices,
+                     ds: PairedDataset) -> np.ndarray:
+    """Gradient estimate over concatenated (image, text) parameters, using the
+    statistics exactly as stored in state."""
+    idx = _batch_indices(indices)
+    B = idx.shape[0]
+    u_i = state.u_image[idx]
+    u_t = state.u_text[idx]
+    if np.any(u_i <= 0) or np.any(u_t <= 0):
+        raise NumericError("nonpositive u statistic at use time "
+                           "(update u before estimating)")
+    stats = _paired_stats(params_image, params_text, cfg,
+                          ds.image[idx], ds.text[idx])
+    C = stats.expS / B ** 2 * (1.0 / (cfg.eps0 + u_i)[:, None]
+                               + 1.0 / (cfg.eps0 + u_t)[None, :])
+    sl = np.arange(B)
+    C[sl, sl] -= 2.0 / B
+    grad_i = encoder.backward_batch(params_image, stats.cache_image,
+                                    C @ stats.ET)
+    grad_t = encoder.backward_batch(params_text, stats.cache_text,
+                                    C.T @ stats.EI)
+    return np.concatenate([grad_i, grad_t])
+
+
+def twoway_step(state: BimodalState, params_image, params_text,
+                cfg: GlobalObjectiveConfig, indices, ds: PairedDataset):
+    """One optimizer step over both parameter blocks jointly.
+
+    Fresh mode refreshes u from this batch before forming the estimator;
+    lagged mode estimates with the previous u (seeding zero entries with the
+    current batch masses so the first step is well defined) and refreshes
+    afterwards.
+    """
+    idx = _batch_indices(indices)
+    if state.u_lag == "fresh":
+        twoway_update_u(state, params_image, params_text, cfg, idx, ds)
+        est = twoway_estimator(state, params_image, params_text, cfg, idx, ds)
+    else:
+        cold_i = state.u_image[idx] == 0
+        cold_t = state.u_text[idx] == 0
+        if cold_i.any() or cold_t.any():
+            stats = _paired_stats(params_image, params_text, cfg,
+                                  ds.image[idx], ds.text[idx])
+            ui = state.u_image[idx]
+            ut = state.u_text[idx]
+            state.u_image[idx] = np.where(cold_i, stats.g_image, ui)
+            state.u_text[idx] = np.where(cold_t, stats.g_text, ut)
+        est = twoway_estimator(state, params_image, params_text, cfg, idx, ds)
+        twoway_update_u(state, params_image, params_text, cfg, idx, ds)
+    if not np.isfinite(est).all():
+        raise NumericError("non-finite two-way estimator")
+    w = pair_to_flat(params_image, params_text)
+    if state.step_rule == "momentum":
+        state.v = (1.0 - state.beta) * state.v + state.beta * est
+        w = w - state.eta * state.v
+    else:
+        state.adam_t += 1
+        state.adam_m = ADAM_BETA1 * state.adam_m + (1.0 - ADAM_BETA1) * est
+        state.adam_v = ADAM_BETA2 * state.adam_v + (1.0 - ADAM_BETA2) * est ** 2
+        m_hat = state.adam_m / (1.0 - ADAM_BETA1 ** state.adam_t)
+        v_hat = state.adam_v / (1.0 - ADAM_BETA2 ** state.adam_t)
+        w = w - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(w).all():
+        raise NumericError("non-finite parameter vector")
+    return flat_to_pair(params_image, params_text, w)

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from gcobench import (BimodalState, NumericError, PairedDataset, encode,
+from gcobench import (NumericError, OptimizerState, PairedDataset, encode,
                       encode_batch, backward_batch, finite_diff_flat,
                       load_paired, make_bimodal_state, save_paired,
                       twoway_estimator, twoway_oracle_F, twoway_oracle_value,
                       twoway_step, twoway_update_u)
-from gcobench import bimodal
 from gcobench.bimodal import (TWOWAY_ORACLE_GUARD, flat_to_pair, pair_to_flat)
 from gcobench.optimizers import ADAM_EPS
 
@@ -50,12 +49,16 @@ def test_paired_dataset_validation():
 
 def test_bimodal_state_validation():
     with pytest.raises(ValueError):
-        BimodalState(u_image=np.zeros(3), u_text=np.zeros(2), eta=0.1)
+        OptimizerState(u=np.zeros((3, 2)), eta=0.1)
     with pytest.raises(ValueError):
-        BimodalState(u_image=np.array([-1.0]), u_text=np.array([0.0]),
-                     eta=0.1)
+        OptimizerState(u=np.array([[-1.0], [0.0]]), eta=0.1)
     state = make_bimodal_state(3, 8, eta=0.1, step_rule="adam_style")
     assert state.adam_m.shape == (8,)
+    assert state.u.shape == (2, 3)
+    # The two sides are row views of u, so writes through them land in u.
+    state.u_image[1] = 0.5
+    state.u_text[2] = 0.25
+    np.testing.assert_array_equal(state.u, [[0, 0.5, 0], [0, 0, 0.25]])
 
 
 def test_pair_flat_roundtrip():
@@ -219,16 +222,14 @@ def test_twoway_step_lagged_cold_start_commits_batch_masses():
     assert state.u_image[0] == 0.0
 
 
-def test_twoway_step_adam_first_step_size(monkeypatch):
-    pds, pi, pt, cfg = make_paired_instance(n=4, seed=11)
-    d = pair_to_flat(pi, pt).shape[0]
-    monkeypatch.setattr(bimodal, "twoway_estimator",
-                        lambda *a: np.full(d, 2.0))
-    monkeypatch.setattr(bimodal, "twoway_update_u", lambda *a: None)
-    state = make_bimodal_state(4, d, eta=0.05, step_rule="adam_style")
-    new_i, new_t = twoway_step(state, pi, pt, cfg, np.array([0, 1]), pds)
-    expected = pair_to_flat(pi, pt) - 0.05 * 2.0 / (2.0 + ADAM_EPS)
-    np.testing.assert_allclose(pair_to_flat(new_i, new_t), expected,
+def test_bimodal_state_adam_first_step_size():
+    _, pi, pt, _ = make_paired_instance(n=4, seed=11)
+    w = pair_to_flat(pi, pt)
+    state = make_bimodal_state(4, w.shape[0], eta=0.05,
+                               step_rule="adam_style")
+    new = state.apply(w, np.full(w.shape[0], 2.0))
+    # Bias correction makes the first update eta * g / (|g| + eps).
+    np.testing.assert_allclose(new, w - 0.05 * 2.0 / (2.0 + ADAM_EPS),
                                rtol=1e-12)
     assert state.adam_t == 1
 

@@ -1,11 +1,13 @@
 """Command line entry points, exit codes, and the installed module runner."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gcobench
 from gcobench import load_dataset, read_metrics
 from gcobench.bimodal import load_paired
 from gcobench.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
@@ -113,6 +115,26 @@ def test_overflowing_embedding_norm_exits_with_numeric_code(capsys):
     assert err.startswith("numeric error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "objective.tau=inf"],
+    ["bimodal-train", "objective.tau=inf"],
+    ["train", "objective.eps0=inf"],
+    ["train", "encoder.init_scale=inf"],
+    ["train", "dataset.separation=inf"],
+    ["train", "aug.scale=1e308"],
+    ["gradcheck", "aug.scale=1e308"],
+    ["gen", "--out", os.devnull, "dataset.separation=inf"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.filterwarnings("error")
+def test_non_finite_inputs_exit_with_config_code(argv, capsys):
+    code = main(argv + ["dataset.n=8", "optimizer.batch_size=4",
+                        "optimizer.steps=3"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
 def test_missing_config_file_exits_with_io_code(capsys):
     assert main(["train", "does-not-exist.cfg"]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
@@ -133,10 +155,15 @@ def test_parser_lists_all_subcommands():
 
 
 def test_module_runner_smoke():
+    # The child interpreter gets the package's parent directory on its path,
+    # so this also runs from a checkout without an install.
+    src = os.path.dirname(os.path.dirname(gcobench.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gcobench.cli", "gradcheck", "dataset.n=4",
          "dataset.d_in=3", "optimizer.batch_size=3", "encoder.m=3",
          "dataset.d_text=3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "all gradient checks passed" in proc.stdout

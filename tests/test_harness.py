@@ -13,7 +13,7 @@ from gcobench import (ConfigError, MetricsRecord, RunConfig, apply_overrides,
                       train, validate_config)
 from gcobench import encoder as encoder_module
 from gcobench import bimodal, harness
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 SMALL = RunConfig(n=8, d_in=4, steps=12, batch_size=4, cadence=4, eta=0.1)
@@ -93,6 +93,14 @@ def test_apply_overrides():
 def test_validate_config_rejects(bad):
     with pytest.raises(ConfigError):
         validate_config(replace(RunConfig(), **bad))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
+                                  if f.type in ("float", "float | None")])
+def test_validate_config_rejects_non_finite_floats(name):
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="must be finite"):
+            validate_config(replace(RunConfig(), **{name: value}))
 
 
 def test_validate_config_accepts_defaults():

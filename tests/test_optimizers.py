@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from gcobench import (GlobalObjectiveConfig, MiniBatch, NumericError,
-                      SogclrState, StepReport, dcl_surrogate, encode,
+                      OptimizerState, StepReport, dcl_surrogate, encode,
                       finite_diff_grad, flatten_params, g_exact,
-                      load_sogclr_state, make_simclr_state, make_sogclr_state,
-                      oracle_F, sample_minibatch, save_sogclr_state,
-                      simclr_batch_loss, simclr_estimator, simclr_step,
-                      sogclr_estimator, sogclr_step, sogclr_update_u)
+                      make_simclr_state, make_sogclr_state, oracle_F,
+                      sample_minibatch, simclr_batch_loss, simclr_estimator,
+                      simclr_step, sogclr_estimator, sogclr_step,
+                      sogclr_update_u)
 from gcobench import optimizers
 from gcobench.optimizers import ADAM_EPS
 
@@ -66,7 +66,9 @@ def test_state_constructors_and_validation():
     with pytest.raises(ValueError):
         make_sogclr_state(4, 6, eta=0.1, u_lag="stale")
     with pytest.raises(ValueError):
-        SogclrState(u=np.array([-1.0, 0.0]), eta=0.1)
+        OptimizerState(u=np.array([-1.0, 0.0]), eta=0.1)
+    with pytest.raises(ValueError):
+        OptimizerState(u=np.zeros((3, 4)), eta=0.1)
 
 
 def test_simclr_estimator_matches_its_loss_gradient():
@@ -104,8 +106,7 @@ def constant_report(value):
     def fake(state, params, cfg, batch, ds, fam):
         d = flatten_params(params).shape[0]
         return StepReport(estimator=np.full(d, value),
-                          u_batch_values=np.ones(batch.B),
-                          surrogate_loss=0.0)
+                          u_batch_values=np.ones(batch.B))
     return fake
 
 
@@ -149,6 +150,20 @@ def test_non_finite_estimator_raises(monkeypatch):
     gstate = make_sogclr_state(4, d, eta=0.1)
     with pytest.raises(NumericError):
         sogclr_step(gstate, params, cfg, batch, ds, fam)
+
+
+def test_simclr_step_overflowing_params_raise_numeric_error(monkeypatch):
+    # The estimator is finite but eta * v overflows the parameter vector;
+    # the shared step rule reports it before an encoder is built from it.
+    ds, fam, params, cfg = make_instance(n=4, K=2, seed=3)
+    batch = sample_minibatch(ds, fam, 3, np.random.default_rng(4))
+    d = flatten_params(params).shape[0]
+    monkeypatch.setattr(optimizers, "simclr_estimator",
+                        lambda *a: np.full(d, 1e300))
+    state = make_simclr_state(d, eta=1e100)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match="parameter vector"):
+        simclr_step(state, params, cfg, batch, ds, fam)
 
 
 def test_sogclr_update_u_matches_brute_force():
@@ -220,7 +235,7 @@ def test_dcl_surrogate_gradient_equals_estimator(u_lag):
     state.u[:] = 0.8  # warm statistics so both modes exercise real values
     report = sogclr_estimator(state, params, cfg, batch, ds, fam)
     value, eval_fn = dcl_surrogate(state, params, cfg, batch, ds, fam)
-    assert value == report.surrogate_loss
+    assert math.isfinite(value)
     assert eval_fn(params) == value
     fd = richardson_fd(eval_fn, params)
     err = np.linalg.norm(report.estimator - fd) / np.linalg.norm(fd)
@@ -280,35 +295,3 @@ def test_degenerates_to_simclr_bitwise():
         p_sim = simclr_step(sim, p_sim, cfg, batch_b, ds, fam)
         np.testing.assert_array_equal(flatten_params(p_sog),
                                       flatten_params(p_sim))
-
-
-@pytest.mark.parametrize("step_rule", ("momentum", "adam_style"))
-def test_sogclr_state_checkpoint_roundtrip(step_rule, tmp_path):
-    state = make_sogclr_state(4, 6, eta=0.07, gamma=0.3, beta=0.8,
-                              step_rule=step_rule, u_lag="lagged")
-    state.u[:] = [0.1, 0.2, 0.3, 0.4]
-    state.v[:] = np.arange(6) * -0.5
-    if step_rule == "adam_style":
-        state.adam_m[:] = np.arange(6) * 0.25
-        state.adam_v[:] = np.arange(6) * 0.125
-        state.adam_t = 7
-    path = str(tmp_path / "state.txt")
-    save_sogclr_state(state, path)
-    back = load_sogclr_state(path)
-    assert (back.eta, back.gamma, back.beta) == (0.07, 0.3, 0.8)
-    assert back.step_rule == step_rule and back.u_lag == "lagged"
-    assert back.adam_t == state.adam_t
-    np.testing.assert_array_equal(back.u, state.u)
-    np.testing.assert_array_equal(back.v, state.v)
-    if step_rule == "adam_style":
-        np.testing.assert_array_equal(back.adam_m, state.adam_m)
-        np.testing.assert_array_equal(back.adam_v, state.adam_v)
-    else:
-        assert back.adam_m is None and back.adam_v is None
-
-
-def test_load_sogclr_state_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.txt"
-    path.write_text("adam 3 4\n0 0 0\n")
-    with pytest.raises(ValueError):
-        load_sogclr_state(str(path))
