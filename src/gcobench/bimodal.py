@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
+from .embed_core import create_text
 from .objective import GlobalObjectiveConfig, OracleSizeError
 from .optimizers import NumericError, OptimizerState
 
@@ -253,7 +254,7 @@ def save_paired(ds: PairedDataset, path: str) -> None:
     """One line per pair: image coordinates, text coordinates, and the label
     when present, comma separated under a width header."""
     labeled = ds.labels is not None
-    with open(path, "w", encoding="ascii") as fh:
+    with create_text(path) as fh:
         fh.write(f"paired {ds.n} {ds.image.shape[1]} {ds.text.shape[1]} "
                  f"{int(labeled)}\n")
         for i in range(ds.n):

@@ -20,6 +20,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import harness
 from .bimodal import save_paired
 from .embed_core import DegenerateInputError, save_dataset
@@ -143,15 +145,18 @@ def _cmd_gradcheck(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "bimodal-train":
-            return _cmd_train(args, force_bimodal=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_gradcheck(args)
+        # A non-finite estimator, parameter vector, norm or record raises and
+        # is reported on one line below; numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            if args.command == "gen":
+                return _cmd_gen(args)
+            if args.command == "train":
+                return _cmd_train(args)
+            if args.command == "bimodal-train":
+                return _cmd_train(args, force_bimodal=True)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
+            return _cmd_gradcheck(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embed_core import create_text
+
 ARCHITECTURES = ("linear", "one_hidden")
 
 
@@ -126,7 +128,8 @@ def encode_batch(params: EncoderParams, X: np.ndarray):
         H = np.tanh(X @ params.W1.T)
         raw = H @ params.W2.T
     with np.errstate(over="ignore"):    # an overflowing norm is reported below
-        norms = np.linalg.norm(raw, axis=1)
+        # np.linalg.norm(raw, axis=1), the same sums without its wrapper
+        norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
     # min and max propagate NaN, so this also rejects NaN norms.
     if not (norms.min() >= 1e-12 and norms.max() < np.inf):
         finite = np.isfinite(norms)
@@ -207,7 +210,7 @@ def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 def save_encoder(params: EncoderParams, path: str) -> None:
     """Header line with architecture and shapes, then one flat value per line."""
-    with open(path, "w", encoding="ascii") as fh:
+    with create_text(path) as fh:
         if params.architecture == "linear":
             fh.write(f"linear {params.d_in} {params.m}\n")
         else:

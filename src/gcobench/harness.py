@@ -24,11 +24,12 @@ from .bimodal import (PairedDataset, make_bimodal_state, pair_to_flat,
                       twoway_estimator, twoway_oracle_F, twoway_oracle_value,
                       twoway_step)
 from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
-                         IndexSampler, make_augmentation_family,
+                         IndexSampler, create_text, make_augmentation_family,
                          sample_minibatch)
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
-from .objective import VERSIONS, GlobalObjectiveConfig, oracle_F, oracle_value
+from .objective import (ORACLE_GUARD, VERSIONS, GlobalObjectiveConfig,
+                        oracle_F, oracle_value)
 from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
                          make_simclr_state, make_sogclr_state,
                          simclr_batch_loss, simclr_estimator, simclr_step,
@@ -255,6 +256,18 @@ def validate_config(config: RunConfig) -> None:
     need(all(b >= 2 for b in config.sweep_batch_sizes),
          "sweep.batch_sizes entries must be >= 2")
     need(len(config.sweep_seeds) >= 1, "sweep.seeds must be nonempty")
+    _check_oracle_size(config, paired=config.algo == "bimodal_sogclr")
+
+
+def _check_oracle_size(config: RunConfig, paired: bool) -> None:
+    """Raise ConfigError when the exact oracle that records (or checks) a
+    unimodal or two-way run would refuse the configured dataset size."""
+    if paired and config.n > bimodal.TWOWAY_ORACLE_GUARD:
+        raise ConfigError(f"dataset.n must be <= {bimodal.TWOWAY_ORACLE_GUARD} "
+                          f"for the two-way oracle, got {config.n}")
+    if not paired and config.n * config.aug_k > ORACLE_GUARD:
+        raise ConfigError(f"dataset.n * aug.k must be <= {ORACLE_GUARD} for "
+                          f"the oracle, got {config.n * config.aug_k}")
 
 
 def generate_synthetic(n: int, d_in: int, clusters: int, separation: float,
@@ -399,6 +412,9 @@ def train(config: RunConfig):
 
     def record(t: int, params) -> None:
         values = measure(params)
+        for column, value in zip(METRICS_COLUMNS[1:], values):
+            if not math.isfinite(value):
+                raise NumericError(f"step {t}: non-finite {column} ({value})")
         ms = (time.perf_counter() - start) * 1000.0 if config.timing else 0.0
         records.append(MetricsRecord(t, *values, ms))
 
@@ -465,7 +481,7 @@ def sweep_batch_size(config: RunConfig, batch_sizes=None,
 
 def save_sweep(result: SweepResult, path: str) -> None:
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with create_text(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["batch_size", "plateau_mean", "plateau_std"])
             for row in result.rows:
@@ -512,6 +528,8 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     200 encoder parameters, where central differencing gets slow and noisy.
     """
     validate_config(config)
+    _check_oracle_size(config, paired=False)
+    _check_oracle_size(config, paired=True)
     tau = config.tau if config.tau is not None else DEFAULT_TAU
     tau_bi = config.tau if config.tau is not None else bimodal.DEFAULT_TAU
 
@@ -604,7 +622,7 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with create_text(path, newline="") as fh:
             if fmt == "csv":
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(METRICS_COLUMNS)

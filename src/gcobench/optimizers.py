@@ -21,6 +21,9 @@ averaged over slots, where the denominators D depend on the method:
   sogclr lagged: D = u_prev for both views (cold entries seeded with the
                  first batch estimate so no division by zero occurs)
 
+The batch kernel computes all 2B anchor views as one stacked block: gbar and
+D are (2B,) vectors, with the first views' values in the first half.
+
 The stored statistic after a sogclr step is (u1 + u2)/2, i.e.
 u <- (1-gamma) u + gamma (gbar_a + gbar_b)/2. With gamma = 1 the fresh mode
 reproduces the simclr denominators exactly, so sogclr(gamma=1, beta=1)
@@ -148,49 +151,46 @@ class StepReport:
 
 @dataclass
 class _BatchStats:
-    """Shared per-batch quantities for estimator assembly."""
+    """Shared per-batch quantities for estimator assembly, over the 2B anchor
+    views stacked as first views then second views."""
 
     E: np.ndarray               # (2B, m)
     cache: object
     S: np.ndarray               # (2B, 2B) similarities
-    EA: np.ndarray              # (B, 2B) masked exp(sim/tau), first-view anchors
-    EB: np.ndarray              # (B, 2B) same for second-view anchors
-    cnt: np.ndarray             # (B,) member counts |B_t|
-    gbar_a: np.ndarray          # (B,)
-    gbar_b: np.ndarray          # (B,)
-    X: np.ndarray               # (2B, d_in) view rows
+    P: np.ndarray               # (2B, 2B) exp(sim/tau) on member slots, else 0
+    cnt: np.ndarray             # (2B,) member counts |B_t|
+    gbar: np.ndarray            # (2B,) averaged in-batch masses
 
 
 def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
                  ds: Dataset, fam: AugmentationFamily) -> _BatchStats:
     B = batch.B
-    X = batch_views(ds, fam, batch)
-    E, cache = encoder.encode_batch(params, X)
+    E, cache = encoder.encode_batch(params, batch_views(ds, fam, batch))
+    # Not the gemm form of objective._similarities, though faster at 2B = 128:
+    # on OpenBLAS it differs from this syrk form in the last bit for most row
+    # counts that are not multiples of 8, and trajectories are kept bitwise.
     S = E @ E.T
     idx = batch.indices
     member = idx[:, None] != idx[None, :]            # (B, B) slot mask
-    M = np.concatenate([member, member], axis=1)     # (B, 2B)
-    cnt = M.sum(axis=1)
-    if np.any(cnt == 0):
-        bad = int(np.argmin(cnt))
+    half = member.sum(axis=1)
+    if not half.all():
+        bad = int(np.argmin(half))
         raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
-    expS = np.exp(S / cfg.tau)
-    EA = expS[:B] * M
-    EB = expS[B:] * M
-    gbar_a = EA.sum(axis=1) / cnt
-    gbar_b = EB.sum(axis=1) / cnt
-    return _BatchStats(E=E, cache=cache, S=S, EA=EA, EB=EB, cnt=cnt,
-                       gbar_a=gbar_a, gbar_b=gbar_b, X=X)
+    P = S / cfg.tau
+    np.exp(P, out=P)
+    blocks = P.reshape(2, B, 2, B)    # each (B, B) view block takes the slot mask
+    blocks *= member[:, None, :]
+    cnt = 2 * np.concatenate((half, half))
+    return _BatchStats(E=E, cache=cache, S=S, P=P, cnt=cnt,
+                       gbar=P.sum(axis=1) / cnt)
 
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
-                        denom_a: np.ndarray, denom_b: np.ndarray) -> np.ndarray:
-    B = stats.cnt.shape[0]
-    C = np.zeros((2 * B, 2 * B))
+                        denom: np.ndarray) -> np.ndarray:
+    B = stats.cnt.shape[0] // 2
+    C = stats.P / ((cfg.eps0 + denom)[:, None] * stats.cnt[:, None] * 2 * B)
     sl = np.arange(B)
     C[sl, B + sl] = -1.0 / B
-    C[:B] += stats.EA / ((cfg.eps0 + denom_a)[:, None] * stats.cnt[:, None] * 2 * B)
-    C[B:] += stats.EB / ((cfg.eps0 + denom_b)[:, None] * stats.cnt[:, None] * 2 * B)
     cot = (C + C.T) @ stats.E
     return encoder.backward_batch(params, stats.cache, cot)
 
@@ -200,7 +200,7 @@ def simclr_estimator(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     """Symmetrized in-batch gradient estimate; the exact params-gradient of
     simclr_batch_loss."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    return _assemble_estimator(params, cfg, stats, stats.gbar_a, stats.gbar_b)
+    return _assemble_estimator(params, cfg, stats, stats.gbar)
 
 
 def simclr_batch_loss(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
@@ -209,11 +209,10 @@ def simclr_batch_loss(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     (1/B) sum_t [ -sim(pos_t) + 1/2 (f(gbar_a[t]) + f(gbar_b[t])) ]
     with f(g) = tau ln(eps0 + g)."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    B = stats.cnt.shape[0]
+    B = batch.B
     pos = stats.S[np.arange(B), B + np.arange(B)]
-    f_a = cfg.tau * np.log(cfg.eps0 + stats.gbar_a)
-    f_b = cfg.tau * np.log(cfg.eps0 + stats.gbar_b)
-    return float(np.mean(-pos + 0.5 * (f_a + f_b)))
+    f = cfg.tau * np.log(cfg.eps0 + stats.gbar)
+    return float(np.mean(-pos + 0.5 * (f[:B] + f[B:])))
 
 
 def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -226,21 +225,23 @@ def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
 
 
 def _sogclr_denoms(state: OptimizerState, stats: _BatchStats, batch: MiniBatch):
-    """Per-view estimator denominators and the post-update stored u values."""
+    """Estimator denominators of the 2B anchor views and the post-update
+    stored u values of the B slots."""
+    B = batch.B
     u_prev = state.u[batch.indices]
-    est = 0.5 * (stats.gbar_a + stats.gbar_b)
     if state.u_lag == "fresh":
-        u1 = (1.0 - state.gamma) * u_prev + state.gamma * stats.gbar_a
-        u2 = (1.0 - state.gamma) * u_prev + state.gamma * stats.gbar_b
-        denom_a, denom_b = u1, u2
-        u_new = 0.5 * (u1 + u2)
+        # u1 (first views) and u2 (second views), stacked.
+        denom = ((1.0 - state.gamma) * np.concatenate((u_prev, u_prev))
+                 + state.gamma * stats.gbar)
+        u_new = 0.5 * (denom[:B] + denom[B:])
     else:
+        est = 0.5 * (stats.gbar[:B] + stats.gbar[B:])
         seeded = np.where(u_prev > 0, u_prev, est)   # cold entries take the batch estimate
-        denom_a = denom_b = seeded
+        denom = np.concatenate((seeded, seeded))
         u_new = (1.0 - state.gamma) * seeded + state.gamma * est
-    if np.any(denom_a <= 0) or np.any(denom_b <= 0):
+    if (denom <= 0).any():
         raise NumericError("nonpositive u statistic at use time (update ordering bug)")
-    return denom_a, denom_b, u_new
+    return denom, u_new
 
 
 def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -251,19 +252,16 @@ def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     with-replacement batch repeats an index, the last slot's value wins.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    _, _, u_new = _sogclr_denoms(state, stats, batch)
+    _, u_new = _sogclr_denoms(state, stats, batch)
     state.u[batch.indices] = u_new
     return u_new
 
 
-def _surrogate_value(stats_S: np.ndarray, PA: np.ndarray, PB: np.ndarray,
-                     cnt: np.ndarray) -> float:
-    B = cnt.shape[0]
+def _surrogate_value(S: np.ndarray, W: np.ndarray, cnt: np.ndarray) -> float:
+    B = cnt.shape[0] // 2
     sl = np.arange(B)
-    pos = stats_S[sl, B + sl]
-    neg = 0.5 * ((PA * stats_S[:B]).sum(axis=1) / cnt
-                 + (PB * stats_S[B:]).sum(axis=1) / cnt)
-    return float(np.mean(-pos + neg))
+    neg = (W * S).sum(axis=1) / cnt
+    return float(np.mean(-S[sl, B + sl] + 0.5 * (neg[:B] + neg[B:])))
 
 
 def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -271,8 +269,8 @@ def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                      fam: AugmentationFamily) -> StepReport:
     """Moving-average-corrected gradient estimate m_t. Does not mutate state."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom_a, denom_b, u_new = _sogclr_denoms(state, stats, batch)
-    est = _assemble_estimator(params, cfg, stats, denom_a, denom_b)
+    denom, u_new = _sogclr_denoms(state, stats, batch)
+    est = _assemble_estimator(params, cfg, stats, denom)
     return StepReport(estimator=est, u_batch_values=u_new)
 
 
@@ -286,17 +284,15 @@ def dcl_surrogate(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     estimator m_t of sogclr_estimator for the same state and batch.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom_a, denom_b, _ = _sogclr_denoms(state, stats, batch)
-    PA = stats.EA / (cfg.eps0 + denom_a)[:, None]
-    PB = stats.EB / (cfg.eps0 + denom_b)[:, None]
+    denom, _ = _sogclr_denoms(state, stats, batch)
+    W = stats.P / (cfg.eps0 + denom)[:, None]
     cnt = stats.cnt
-    X = stats.X
-    value = _surrogate_value(stats.S, PA, PB, cnt)
+    X = stats.cache.X
+    value = _surrogate_value(stats.S, W, cnt)
 
     def eval_fn(other_params) -> float:
         E2, _ = encoder.encode_batch(other_params, X)
-        S2 = E2 @ E2.T
-        return _surrogate_value(S2, PA, PB, cnt)
+        return _surrogate_value(E2 @ E2.T, W, cnt)
 
     return value, eval_fn
 

@@ -9,6 +9,11 @@ package, as yardsticks for the code that replaced them.
   two-way statistics update and estimator they call) from before they were
   folded into one OptimizerState and one step rule. A two-way step here
   encodes its batch twice, or three times on a cold lagged step.
+- The simclr and sogclr batch kernel (statistics, denominators, estimator
+  assembly, the two estimators, batch_views and encode_batch) from before
+  it was computed as one stacked block over the 2B anchor views. Here the
+  first-view and second-view anchors are two halves, and S = E @ E.T.
+  The one edit is that _batch_stats calls the encode_batch copied here.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +25,13 @@ from gcobench.bimodal import (PairedDataset, _paired_stats, flat_to_pair,
                               pair_to_flat)
 from gcobench.embed_core import (AugmentationFamily, Dataset, MiniBatch,
                                  all_views)
+from gcobench.encoder import (DegenerateEmbeddingError, EncoderParams,
+                              ForwardCache)
 from gcobench.objective import (ORACLE_GUARD, GlobalObjectiveConfig,
                                 OracleSizeError)
 from gcobench.optimizers import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STEP_RULES,
-                                 U_LAG_MODES, NumericError, _check_finite,
-                                 simclr_estimator, sogclr_estimator)
+                                 U_LAG_MODES, NumericError, OptimizerState,
+                                 StepReport, _check_finite)
 
 
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -74,6 +81,124 @@ def aug_consistency_eps_mean(params, ds: Dataset, fam: AugmentationFamily) -> fl
         mask[i * K:(i + 1) * K] = False
         total += float(np.mean(2.0 * rows[:, mask].var(axis=0)))
     return total / n
+
+
+def batch_views(ds: Dataset, fam: AugmentationFamily, batch: MiniBatch) -> np.ndarray:
+    """The 2B batch view rows: first all first views, then all second views."""
+    pts = ds.points[batch.indices]
+    va = pts + fam.deltas[batch.aug_a]
+    vb = pts + fam.deltas[batch.aug_b]
+    return np.concatenate([va, vb], axis=0)
+
+
+def encode_batch(params: EncoderParams, X: np.ndarray):
+    """Encode N input rows; returns (E, cache) with unit-norm rows in E."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if params.architecture == "linear":
+        H = None
+        raw = X @ params.W1.T
+    else:
+        H = np.tanh(X @ params.W1.T)
+        raw = H @ params.W2.T
+    with np.errstate(over="ignore"):    # an overflowing norm is reported below
+        norms = np.linalg.norm(raw, axis=1)
+    # min and max propagate NaN, so this also rejects NaN norms.
+    if not (norms.min() >= 1e-12 and norms.max() < np.inf):
+        finite = np.isfinite(norms)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DegenerateEmbeddingError(
+                f"pre-normalization norm is not finite (row {bad}, norm {norms[bad]})")
+        bad = int(np.argmin(norms))
+        raise DegenerateEmbeddingError(
+            f"pre-normalization output collapsed (row {bad}, norm {norms[bad]:.3e})")
+    E = raw / norms[:, None]
+    return E, ForwardCache(X=X, H=H, norms=norms, E=E)
+
+
+@dataclass
+class _BatchStats:
+    """Shared per-batch quantities for estimator assembly."""
+
+    E: np.ndarray               # (2B, m)
+    cache: object
+    S: np.ndarray               # (2B, 2B) similarities
+    EA: np.ndarray              # (B, 2B) masked exp(sim/tau), first-view anchors
+    EB: np.ndarray              # (B, 2B) same for second-view anchors
+    cnt: np.ndarray             # (B,) member counts |B_t|
+    gbar_a: np.ndarray          # (B,)
+    gbar_b: np.ndarray          # (B,)
+    X: np.ndarray               # (2B, d_in) view rows
+
+
+def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
+                 ds: Dataset, fam: AugmentationFamily) -> _BatchStats:
+    B = batch.B
+    X = batch_views(ds, fam, batch)
+    E, cache = encode_batch(params, X)   # the copy above, not the package's
+    S = E @ E.T
+    idx = batch.indices
+    member = idx[:, None] != idx[None, :]            # (B, B) slot mask
+    M = np.concatenate([member, member], axis=1)     # (B, 2B)
+    cnt = M.sum(axis=1)
+    if np.any(cnt == 0):
+        bad = int(np.argmin(cnt))
+        raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
+    expS = np.exp(S / cfg.tau)
+    EA = expS[:B] * M
+    EB = expS[B:] * M
+    gbar_a = EA.sum(axis=1) / cnt
+    gbar_b = EB.sum(axis=1) / cnt
+    return _BatchStats(E=E, cache=cache, S=S, EA=EA, EB=EB, cnt=cnt,
+                       gbar_a=gbar_a, gbar_b=gbar_b, X=X)
+
+
+def _assemble_estimator(params, cfg, stats: _BatchStats,
+                        denom_a: np.ndarray, denom_b: np.ndarray) -> np.ndarray:
+    B = stats.cnt.shape[0]
+    C = np.zeros((2 * B, 2 * B))
+    sl = np.arange(B)
+    C[sl, B + sl] = -1.0 / B
+    C[:B] += stats.EA / ((cfg.eps0 + denom_a)[:, None] * stats.cnt[:, None] * 2 * B)
+    C[B:] += stats.EB / ((cfg.eps0 + denom_b)[:, None] * stats.cnt[:, None] * 2 * B)
+    cot = (C + C.T) @ stats.E
+    return encoder.backward_batch(params, stats.cache, cot)
+
+
+def simclr_estimator(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
+                     ds: Dataset, fam: AugmentationFamily) -> np.ndarray:
+    """Symmetrized in-batch gradient estimate; the exact params-gradient of
+    simclr_batch_loss."""
+    stats = _batch_stats(params, cfg, batch, ds, fam)
+    return _assemble_estimator(params, cfg, stats, stats.gbar_a, stats.gbar_b)
+
+
+def _sogclr_denoms(state: OptimizerState, stats: _BatchStats, batch: MiniBatch):
+    """Per-view estimator denominators and the post-update stored u values."""
+    u_prev = state.u[batch.indices]
+    est = 0.5 * (stats.gbar_a + stats.gbar_b)
+    if state.u_lag == "fresh":
+        u1 = (1.0 - state.gamma) * u_prev + state.gamma * stats.gbar_a
+        u2 = (1.0 - state.gamma) * u_prev + state.gamma * stats.gbar_b
+        denom_a, denom_b = u1, u2
+        u_new = 0.5 * (u1 + u2)
+    else:
+        seeded = np.where(u_prev > 0, u_prev, est)   # cold entries take the batch estimate
+        denom_a = denom_b = seeded
+        u_new = (1.0 - state.gamma) * seeded + state.gamma * est
+    if np.any(denom_a <= 0) or np.any(denom_b <= 0):
+        raise NumericError("nonpositive u statistic at use time (update ordering bug)")
+    return denom_a, denom_b, u_new
+
+
+def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
+                     batch: MiniBatch, ds: Dataset,
+                     fam: AugmentationFamily) -> StepReport:
+    """Moving-average-corrected gradient estimate m_t. Does not mutate state."""
+    stats = _batch_stats(params, cfg, batch, ds, fam)
+    denom_a, denom_b, u_new = _sogclr_denoms(state, stats, batch)
+    est = _assemble_estimator(params, cfg, stats, denom_a, denom_b)
+    return StepReport(estimator=est, u_batch_values=u_new)
 
 
 @dataclass

@@ -147,6 +147,47 @@ def test_unwritable_metrics_path_exits_with_io_code(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+def test_metrics_path_that_is_a_directory_exits_with_io_code(tmp_path,
+                                                            capsys):
+    code = main(["train", "dataset.n=6", "optimizer.steps=2",
+                 "optimizer.batch_size=3", f"metrics.path={tmp_path}"])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "dataset.n=6000"],
+    ["train", "dataset.n=3400", "aug.k=3"],
+    ["sweep", "dataset.n=6000"],
+    ["bimodal-train", "dataset.n=2000"],
+    ["gradcheck", "dataset.n=6000"],
+    ["gradcheck", "dataset.n=2000"],
+], ids=lambda argv: " ".join(argv))
+def test_oversized_oracle_exits_with_config_code(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "oracle" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "objective.tau=0.002"],
+    ["train", "objective.tau=1e-300"],
+    ["bimodal-train", "objective.tau=1e-300"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.filterwarnings("error")
+def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    code = main(argv + ["dataset.n=8", "optimizer.batch_size=4",
+                        "optimizer.steps=3", f"metrics.path={metrics}"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: step 0: non-finite")
+    assert err.count("\n") == 1
+    assert not metrics.exists()
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -12,7 +12,7 @@ from gcobench import (AugmentationFamily, Dataset, DegenerateInputError,
                       apply_augmentation, batch_views, cosine_sim,
                       l2_normalize, load_dataset, make_augmentation_family,
                       negative_members, sample_minibatch, save_dataset)
-from gcobench.embed_core import SAMPLING_MODES, IndexSampler
+from gcobench.embed_core import SAMPLING_MODES, IndexSampler, create_text
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -197,6 +197,25 @@ def test_batch_views_layout():
                                       ds.points[i] + fam.deltas[batch.aug_a[t]])
         np.testing.assert_array_equal(views[3 + t],
                                       ds.points[i] + fam.deltas[batch.aug_b[t]])
+
+
+def test_create_text_replaces_a_regular_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("older and longer content\n")
+    with create_text(str(path)) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+
+
+def test_create_text_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("older and longer content\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with create_text(str(link)) as fh:
+        fh.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
 
 
 def test_dataset_roundtrip_labeled(tmp_path):

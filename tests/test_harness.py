@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gcobench import (ConfigError, MetricsRecord, RunConfig, apply_overrides,
-                      emit_metrics, generate_synthetic,
+from gcobench import (ConfigError, MetricsRecord, NumericError, RunConfig,
+                      apply_overrides, emit_metrics, generate_synthetic,
                       generate_synthetic_pairs, gradcheck, load_config,
                       load_encoder, plateau, read_metrics, sweep_batch_size,
                       train, validate_config)
@@ -239,6 +239,28 @@ def test_metrics_roundtrip(fmt, tmp_path):
     back = read_metrics(path, fmt)
     assert len(back) == 1
     assert back[0] == recs[0]
+
+
+def test_metrics_rewrite_replaces_the_file(tmp_path):
+    recs = [MetricsRecord(step=t, objective_value=-0.5, oracle_grad_norm_sq=1.0,
+                          u_tracking_mse=0.0, eps_sq_mean=0.0,
+                          wall_clock_ms=0.0) for t in range(3)]
+    path = str(tmp_path / "m.csv")
+    emit_metrics(recs, path)
+    emit_metrics(recs[:1], path)
+    assert read_metrics(path) == recs[:1]
+
+
+def test_train_rejects_a_non_finite_record_before_writing(tmp_path):
+    # At tau = 0.002 the u targets are about e^(1/tau), so their squared
+    # tracking error overflows already at step 0.
+    metrics = tmp_path / "m.csv"
+    config = replace(SMALL, tau=0.002, metrics_path=str(metrics))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError,
+                           match="step 0: non-finite u_tracking_mse"):
+            train(config)
+    assert not metrics.exists()
 
 
 def test_metrics_empty_and_errors(tmp_path):

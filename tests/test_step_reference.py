@@ -1,6 +1,7 @@
-"""The one optimizer state and step rule against the three state classes and
-step functions they replaced (kept verbatim in reference.py): 100 steps of
-every method, sampling mode and statistics mode must agree bit for bit."""
+"""The one optimizer state, step rule and stacked batch kernel against the
+three state classes, step functions and two-halves kernel they replaced
+(kept verbatim in reference.py): 100 steps of every method, sampling mode
+and statistics mode must agree bit for bit."""
 
 import numpy as np
 import pytest
@@ -44,31 +45,66 @@ UNIMODAL = {
 }
 
 
-@pytest.mark.parametrize("case", list(UNIMODAL), ids=list(UNIMODAL))
-def test_unimodal_steps_match_reference_bitwise(case):
-    algo, kwargs, sampling = UNIMODAL[case]
-    n, B = 8, 6
-    ds, fam, params, cfg = make_instance(n=n, K=2, d_in=4, m=3, tau=0.3,
-                                         seed=31, arch="one_hidden")
+def run_unimodal(algo, kwargs, sampling, B, instance):
+    """STEPS steps of the package and of the reference from one instance,
+    compared after every step; returns the batches drawn."""
+    ds, fam, params, cfg = instance
+    n = ds.n
     d = flatten_params(params).shape[0]
     if algo == "simclr":
-        new = make_simclr_state(d, eta=0.1, **kwargs)
-        ref = reference.make_simclr_state(d, eta=0.1, **kwargs)
+        new = make_simclr_state(d, **kwargs)
+        ref = reference.make_simclr_state(d, **kwargs)
         new_step, ref_step = simclr_step, reference.simclr_step
     else:
-        new = make_sogclr_state(n, d, eta=0.1, gamma=0.6, beta=0.7, **kwargs)
-        ref = reference.make_sogclr_state(n, d, eta=0.1, gamma=0.6, beta=0.7,
-                                          **kwargs)
+        new = make_sogclr_state(n, d, **kwargs)
+        ref = reference.make_sogclr_state(n, d, **kwargs)
         new_step, ref_step = sogclr_step, reference.sogclr_step
     sampler = MinibatchSampler(ds, fam, B, np.random.default_rng(32), sampling)
+    batches = [sampler.next_batch() for _ in range(STEPS)]
     p_new = p_ref = params
-    for _ in range(STEPS):
-        batch = sampler.next_batch()
+    for batch in batches:
         p_new = new_step(new, p_new, cfg, batch, ds, fam)
         p_ref = ref_step(ref, p_ref, cfg, batch, ds, fam)
         np.testing.assert_array_equal(flatten_params(p_new),
                                       flatten_params(p_ref))
         assert_same_state(new, ref, getattr(ref, "u", np.zeros(0)))
+    return batches
+
+
+@pytest.mark.parametrize("case", list(UNIMODAL), ids=list(UNIMODAL))
+def test_unimodal_steps_match_reference_bitwise(case):
+    algo, kwargs, sampling = UNIMODAL[case]
+    instance = make_instance(n=8, K=2, d_in=4, m=3, tau=0.3, seed=31,
+                             arch="one_hidden")
+    if algo == "sogclr":
+        kwargs = dict(kwargs, gamma=0.6, beta=0.7)
+    run_unimodal(algo, dict(kwargs, eta=0.1), sampling, 6, instance)
+
+
+# The criterion-5 task (n = 256, K = 2, linear, m = 4, tau = 0.2) with its
+# step sizes; the last case repeats indices within batches.
+LAW_CASES = {
+    "simclr-B4": ("simclr", 4, dict(eta=0.01), "epoch_shuffle", 0.0),
+    "simclr-B64": ("simclr", 64, dict(eta=0.01), "epoch_shuffle", 0.0),
+    "sogclr-B4": ("sogclr", 4, dict(eta=0.004, gamma=0.1), "epoch_shuffle",
+                  0.0),
+    "sogclr-B64": ("sogclr", 64, dict(eta=0.004, gamma=0.1), "epoch_shuffle",
+                   0.0),
+    "sogclr-B64-with_replacement-eps0.5": ("sogclr", 64,
+                                           dict(eta=0.004, gamma=0.1),
+                                           "with_replacement", 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(LAW_CASES), ids=list(LAW_CASES))
+def test_criterion_5_steps_match_reference_bitwise(case):
+    algo, B, kwargs, sampling, eps0 = LAW_CASES[case]
+    instance = make_instance(n=256, K=2, d_in=4, m=4, tau=0.2, eps0=eps0,
+                             seed=41, aug_scale=0.5, clusters=4,
+                             separation=3.0)
+    batches = run_unimodal(algo, kwargs, sampling, B, instance)
+    if sampling == "with_replacement":
+        assert any(np.unique(b.indices).size < B for b in batches)
 
 
 BIMODAL = {
