@@ -245,14 +245,22 @@ def batch_views(ds: Dataset, fam: AugmentationFamily, batch: MiniBatch) -> np.nd
 def create_text(path: str, newline: str | None = None):
     """Open path for writing ASCII text as a new file.
 
-    An existing regular file is unlinked first rather than truncated: on
-    ext4, truncating and rewriting a file whose old data is on disk waits
-    for writeback, 35-55 ms a file against 0.2 ms for unlink and create.
-    Symlinks, devices and FIFOs are written through, and a file that cannot
-    be unlinked is truncated as before.
+    An existing regular file that this process may write and that has no
+    other hard link is unlinked first rather than truncated: on ext4,
+    truncating a file whose old data is on disk forces that data out,
+    35-55 ms a rewrite against 0.2 ms for unlink and create. Any other path
+    (a symlink, device, FIFO, read-only or hard-linked file) is opened as
+    before, so it is written through or refused with the same error.
+
+    The replacement gets a new file's default mode and owner. It also gives
+    up ext4's flush-on-replace: after a crash the path may be missing or
+    empty. Every output here is a deterministic function of its config
+    (apart from the optional timing column), so a rerun restores it.
     """
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and os.access(path, os.W_OK)):
             os.unlink(path)
     except OSError:
         pass        # missing or not removable: open() creates, truncates or reports

@@ -155,6 +155,19 @@ def test_metrics_path_that_is_a_directory_exits_with_io_code(tmp_path,
     assert capsys.readouterr().err.startswith("i/o error")
 
 
+@pytest.mark.skipif(os.geteuid() == 0,
+                    reason="root may write a read-only file")
+def test_read_only_metrics_file_exits_with_io_code(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("old\n")
+    path.chmod(0o444)
+    code = main(["train", "dataset.n=6", "optimizer.steps=2",
+                 "optimizer.batch_size=3", f"metrics.path={path}"])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error")
+    assert path.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "dataset.n=6000"],
     ["train", "dataset.n=3400", "aug.k=3"],
@@ -162,6 +175,7 @@ def test_metrics_path_that_is_a_directory_exits_with_io_code(tmp_path,
     ["bimodal-train", "dataset.n=2000"],
     ["gradcheck", "dataset.n=6000"],
     ["gradcheck", "dataset.n=2000"],
+    ["gradcheck", "optimizer.algo=bimodal_sogclr", "dataset.n=1000", "aug.k=11"],
 ], ids=lambda argv: " ".join(argv))
 def test_oversized_oracle_exits_with_config_code(argv, capsys):
     assert main(argv) == EXIT_CONFIG

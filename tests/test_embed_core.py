@@ -1,6 +1,8 @@
 """Datasets, augmentation families, samplers, and similarity primitives."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -216,6 +218,33 @@ def test_create_text_writes_through_a_symlink(tmp_path):
         fh.write("new\n")
     assert link.is_symlink()
     assert target.read_text() == "new\n"
+
+
+def test_create_text_writes_through_a_hard_link(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("older and longer content\n")
+    other = tmp_path / "other.txt"
+    os.link(path, other)
+    with create_text(str(path)) as fh:
+        fh.write("new\n")
+    assert other.read_text() == "new\n"
+
+
+def test_create_text_keeps_a_file_it_may_not_write(tmp_path, monkeypatch):
+    # A file created anew would get mode 0o644 under this umask; the kept
+    # one keeps 0o600. (Root may still open it, so the write succeeds.)
+    path = tmp_path / "out.txt"
+    path.write_text("older and longer content\n")
+    path.chmod(0o600)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    umask = os.umask(0o022)
+    try:
+        with create_text(str(path)) as fh:
+            fh.write("new\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == "new\n"
 
 
 def test_dataset_roundtrip_labeled(tmp_path):
