@@ -24,7 +24,7 @@ import numpy as np
 
 from . import harness
 from .bimodal import save_paired
-from .embed_core import DegenerateInputError, save_dataset
+from .embed_core import save_dataset
 from .encoder import DegenerateEmbeddingError
 from .harness import ConfigError, RunConfig
 from .optimizers import NumericError
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, DegenerateInputError, DegenerateEmbeddingError) as exc:
+    except (NumericError, DegenerateEmbeddingError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Datasets, finite augmentation families, similarity primitives, and mini-batch sampling.
+"""Datasets, finite augmentation families, mini-batch sampling, and output files.
 
 Every other module consumes these types. Augmentations are a fixed finite set of
 additive perturbations, so expectations over the augmentation draw are exact sums
@@ -12,34 +12,6 @@ import stat
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class DegenerateInputError(ValueError):
-    """A vector has collapsed below usable norm."""
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to Euclidean norm 1, preserving direction.
-
-    Raises DegenerateInputError when the norm is below 1e-30.
-    """
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-30:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return v / norm
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1].
-
-    Callers are expected to pass unit-norm inputs; only the dimension is checked.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.clip(u @ v, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -112,19 +84,6 @@ def apply_augmentation(fam: AugmentationFamily, k: int, x: np.ndarray) -> np.nda
     if not 0 <= k < fam.K:
         raise IndexError(f"augmentation index {k} out of range [0, {fam.K})")
     return np.asarray(x, dtype=float) + fam.deltas[k]
-
-
-def negative_members(ds: Dataset, fam: AugmentationFamily, i: int):
-    """Lazily yield the (j, k) pairs of the negative set of sample i.
-
-    The set contains every augmented view of every other sample and none of
-    sample i's own views, so it has exactly (n - 1) * K members.
-    """
-    for j in range(ds.n):
-        if j == i:
-            continue
-        for k in range(fam.K):
-            yield (j, k)
 
 
 @dataclass(frozen=True)
@@ -207,25 +166,13 @@ class MinibatchSampler:
 def sample_minibatch(ds: Dataset, fam: AugmentationFamily, B: int,
                      rng: np.random.Generator,
                      mode: str = "epoch_shuffle") -> MiniBatch:
-    """Draw a single mini-batch.
+    """Draw a single mini-batch, the first batch of a fresh MinibatchSampler.
 
     epoch_shuffle takes the first B entries of a fresh permutation (B = n gives
     a full permutation). The two augmentation choices per index are independent
     uniform draws and may coincide. Reproducible given the generator state.
     """
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"unknown sampling mode: {mode!r}")
-    if B < 2:
-        raise ValueError("batch size must be at least 2 (no negatives otherwise)")
-    if mode == "epoch_shuffle":
-        if B > ds.n:
-            raise ValueError(f"epoch_shuffle needs B <= n, got B={B}, n={ds.n}")
-        idx = rng.permutation(ds.n)[:B]
-    else:
-        idx = rng.integers(0, ds.n, size=B)
-    aug_a = rng.integers(0, fam.K, size=B)
-    aug_b = rng.integers(0, fam.K, size=B)
-    return MiniBatch(indices=idx, aug_a=aug_a, aug_b=aug_b)
+    return MinibatchSampler(ds, fam, B, rng, mode).next_batch()
 
 
 def all_views(ds: Dataset, fam: AugmentationFamily) -> np.ndarray:

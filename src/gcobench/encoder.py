@@ -168,15 +168,6 @@ def encode(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return E[0]
 
 
-def vjp_sim(params: EncoderParams, x_a: np.ndarray, x_b: np.ndarray,
-            cotangent: float) -> np.ndarray:
-    """cotangent * d/d(params) [ E(x_a) . E(x_b) ], exact through both branches."""
-    E, cache = encode_batch(params, np.stack([np.asarray(x_a, dtype=float),
-                                              np.asarray(x_b, dtype=float)]))
-    cot = float(cotangent) * np.stack([E[1], E[0]])
-    return backward_batch(params, cache, cot)
-
-
 def _central_diff(f_flat, x0: np.ndarray, h: float) -> np.ndarray:
     """Central differences of a scalar function of a flat vector."""
     if h <= 0:

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
 ALGORITHMS = ("simclr", "simclr_momentum", "sogclr", "sogclr_adam",
               "bimodal_sogclr")
 METRICS_FORMATS = ("csv", "jsonl")
-METRICS_COLUMNS = ("step", "objective_value", "oracle_grad_norm_sq",
-                   "u_tracking_mse", "eps_sq_mean", "wall_clock_ms")
 DEFAULT_TAU = 0.1
 GRADCHECK_GUARD = 200
 
@@ -60,6 +58,9 @@ class MetricsRecord:
     u_tracking_mse: float
     eps_sq_mean: float
     wall_clock_ms: float
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass(frozen=True)
@@ -177,16 +178,20 @@ def _apply_pairs(config: RunConfig, pairs, where: str) -> RunConfig:
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     """Read a flat `key = value` file ( '#' comments, blank lines allowed )."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, "
-                                  f"got {text!r}")
-            key, raw = text.split("=", 1)
-            pairs.append((key.strip(), raw.strip()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                              f"got {text!r}")
+        key, raw = text.split("=", 1)
+        pairs.append((key.strip(), raw.strip()))
     return _apply_pairs(base if base is not None else RunConfig(), pairs, path)
 
 
@@ -422,7 +427,9 @@ def train(config: RunConfig):
     for t in range(1, config.steps + 1):
         try:
             params = step(params)
-        except NumericError as exc:
+        except (NumericError, ValueError) as exc:
+            # A ValueError here comes from the drawn batch (a slot without
+            # negatives) or a collapsed embedding: a numeric failure.
             raise NumericError(f"step {t}: {exc}") from exc
         if t % config.cadence == 0 or t == config.steps:
             record(t, params)
@@ -447,24 +454,20 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def sweep_batch_size(config: RunConfig, batch_sizes=None,
-                     seeds=None) -> SweepResult:
-    """Train one run per (batch size, seed) cell and aggregate the plateau
-    gradient norms per batch size. Each seed shifts both the sampling stream
-    and the encoder init so cells are independent repetitions."""
+def sweep_batch_size(config: RunConfig) -> SweepResult:
+    """Train one run per (sweep.batch_sizes, sweep.seeds) cell and aggregate
+    the plateau gradient norms per batch size. Each seed shifts both the
+    sampling stream and the encoder init so cells are independent
+    repetitions."""
     validate_config(config)
-    sizes = tuple(batch_sizes) if batch_sizes is not None else config.sweep_batch_sizes
-    the_seeds = tuple(seeds) if seeds is not None else config.sweep_seeds
-    if not sizes or not the_seeds:
-        raise ConfigError("sweep needs at least one batch size and one seed")
-    for b in sizes:
+    for b in config.sweep_batch_sizes:
         if config.sampling == "epoch_shuffle" and b > config.n:
             raise ConfigError(f"sweep batch size {b} exceeds dataset.n "
                               f"under epoch_shuffle")
     rows = []
-    for b in sizes:
+    for b in config.sweep_batch_sizes:
         values = []
-        for seed in the_seeds:
+        for seed in config.sweep_seeds:
             cell = replace(config, batch_size=b, train_seed=seed,
                            encoder_seed=config.encoder_seed + seed,
                            metrics_path="", checkpoint_path="", sweep_path="")
@@ -520,6 +523,19 @@ FD_TOL = 1e-5
 EXACT_TOL = 1e-8
 
 
+def _fd_check(name: str, analytic: np.ndarray, differences, f,
+              at) -> GradcheckResult:
+    """analytic against differences(f, at), the central differences of
+    finite_diff_grad or finite_diff_flat. A non-finite value of f (exp(sim /
+    tau) overflows at a tiny tau) is a numeric failure, not a failed check."""
+    try:
+        fd = differences(f, at)
+    except ValueError as exc:
+        raise NumericError(f"{name}: {exc}") from exc
+    return GradcheckResult(name=name, rel_err=_rel_err(analytic, fd),
+                           tol=FD_TOL)
+
+
 def gradcheck(config: RunConfig) -> GradcheckReport:
     """Check every analytic gradient on the configured (small) instance.
 
@@ -548,10 +564,10 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     for version in VERSIONS:
         cfg_v = GlobalObjectiveConfig(tau=tau, eps0=config.eps0, version=version)
         res = oracle_F(params, cfg_v, ds, fam)
-        fd = finite_diff_grad(lambda p: oracle_value(p, cfg_v, ds, fam), params)
-        checks.append(GradcheckResult(name=f"oracle_{version}_grad",
-                                      rel_err=_rel_err(res.grad, fd),
-                                      tol=FD_TOL))
+        checks.append(_fd_check(f"oracle_{version}_grad", res.grad,
+                                finite_diff_grad,
+                                lambda p: oracle_value(p, cfg_v, ds, fam),
+                                params))
 
     # Two-way oracle against central differences over both encoders jointly.
     cfg_bi = GlobalObjectiveConfig(tau=tau_bi, eps0=config.eps0)
@@ -562,10 +578,8 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
         pi, pt = bimodal.flat_to_pair(params, params_ti, vec)
         return twoway_oracle_value(pi, pt, cfg_bi, pds)
 
-    fd_bi = finite_diff_flat(bi_value, w0)
-    checks.append(GradcheckResult(name="twoway_oracle_grad",
-                                  rel_err=_rel_err(res_bi.grad, fd_bi),
-                                  tol=FD_TOL))
+    checks.append(_fd_check("twoway_oracle_grad", res_bi.grad,
+                            finite_diff_flat, bi_value, w0))
 
     # In-batch estimator against differences of its own batch loss.
     cfg_u = GlobalObjectiveConfig(tau=tau, eps0=config.eps0,
@@ -574,10 +588,9 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     batch = sample_minibatch(ds, fam, min(config.batch_size, config.n), rng,
                              "epoch_shuffle")
     est = simclr_estimator(params, cfg_u, batch, ds, fam)
-    fd_loss = finite_diff_grad(
-        lambda p: simclr_batch_loss(p, cfg_u, batch, ds, fam), params)
-    checks.append(GradcheckResult(name="simclr_estimator_vs_loss",
-                                  rel_err=_rel_err(est, fd_loss), tol=FD_TOL))
+    checks.append(_fd_check(
+        "simclr_estimator_vs_loss", est, finite_diff_grad,
+        lambda p: simclr_batch_loss(p, cfg_u, batch, ds, fam), params))
 
     # Frozen-weight surrogate against the moving-average estimator.
     state = make_sogclr_state(config.n, d_uni, eta=config.eta,
@@ -585,10 +598,8 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     sogclr_update_u(state, params, cfg_u, batch, ds, fam)
     report = sogclr_estimator(state, params, cfg_u, batch, ds, fam)
     _, eval_fn = dcl_surrogate(state, params, cfg_u, batch, ds, fam)
-    fd_sur = finite_diff_grad(eval_fn, params)
-    checks.append(GradcheckResult(name="dcl_surrogate_vs_sogclr",
-                                  rel_err=_rel_err(report.estimator, fd_sur),
-                                  tol=FD_TOL))
+    checks.append(_fd_check("dcl_surrogate_vs_sogclr", report.estimator,
+                            finite_diff_grad, eval_fn, params))
 
     # Full-batch single-view moving-average estimator against the exact
     # version-2 oracle gradient (an algebraic identity, so 1e-8).
@@ -622,27 +633,17 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
     file round-trips exactly."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
+    rows = [astuple(r) for r in records]
     try:
         with create_text(path, newline="") as fh:
             if fmt == "csv":
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(METRICS_COLUMNS)
-                for r in records:
-                    writer.writerow([r.step, repr(r.objective_value),
-                                     repr(r.oracle_grad_norm_sq),
-                                     repr(r.u_tracking_mse),
-                                     repr(r.eps_sq_mean),
-                                     repr(r.wall_clock_ms)])
+                writer.writerows([step, *map(repr, values)]
+                                 for step, *values in rows)
             else:
-                for r in records:
-                    fh.write(json.dumps({
-                        "step": r.step,
-                        "objective_value": r.objective_value,
-                        "oracle_grad_norm_sq": r.oracle_grad_norm_sq,
-                        "u_tracking_mse": r.u_tracking_mse,
-                        "eps_sq_mean": r.eps_sq_mean,
-                        "wall_clock_ms": r.wall_clock_ms,
-                    }) + "\n")
+                for row in rows:
+                    fh.write(json.dumps(dict(zip(METRICS_COLUMNS, row))) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
@@ -658,16 +659,10 @@ def read_metrics(path: str, fmt: str = "csv"):
             header = next(reader, None)
             if header != list(METRICS_COLUMNS):
                 raise ValueError(f"unexpected metrics header in {path}: {header}")
-            rows = ({col: cell for col, cell in zip(METRICS_COLUMNS, row)}
-                    for row in reader)
+            rows = reader
         else:
-            rows = (json.loads(line) for line in fh if line.strip())
-        for row in rows:
-            records.append(MetricsRecord(
-                step=int(row["step"]),
-                objective_value=float(row["objective_value"]),
-                oracle_grad_norm_sq=float(row["oracle_grad_norm_sq"]),
-                u_tracking_mse=float(row["u_tracking_mse"]),
-                eps_sq_mean=float(row["eps_sq_mean"]),
-                wall_clock_ms=float(row["wall_clock_ms"])))
+            rows = ([json.loads(line)[col] for col in METRICS_COLUMNS]
+                    for line in fh if line.strip())
+        for step, *values in rows:
+            records.append(MetricsRecord(int(step), *map(float, values)))
     return records

@@ -1,4 +1,4 @@
-"""Contrastive losses, the mini-batch g estimator, and the exact enumeration oracle.
+"""The mini-batch g estimator and the exact enumeration oracle.
 
 Conventions used throughout the package:
 
@@ -8,8 +8,6 @@ Conventions used throughout the package:
 - The outer compositional function is f(g) = tau * ln(eps0 + g).
 - The objective value drops the additive constant that does not depend on the
   encoder, so reported values can be negative.
-- local_loss alone keeps the unaveraged SUM normalizer (the classical in-batch
-  softmax form); everything global uses averaged g.
 
 Version "v1" averages f over the augmentation draw outside the log; "v2" moves
 the augmentation average inside the log. The two coincide when K = 1.
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import encoder
 from .embed_core import (AugmentationFamily, Dataset, MiniBatch, all_views,
-                         apply_augmentation, batch_views)
+                         apply_augmentation)
 
 ORACLE_GUARD = 10_000
 VERSIONS = ("v1", "v2")
@@ -61,17 +59,6 @@ class OracleResult:
     eps_sq_mean: float
 
 
-def _member_views(ds: Dataset, fam: AugmentationFamily, i: int, batch: MiniBatch):
-    """Both augmented views of every batch slot whose dataset index differs from i."""
-    keep = batch.indices != i
-    if not keep.any():
-        raise ValueError(f"batch holds no negatives for sample {i}")
-    pts = ds.points[batch.indices[keep]]
-    va = pts + fam.deltas[batch.aug_a[keep]]
-    vb = pts + fam.deltas[batch.aug_b[keep]]
-    return np.concatenate([va, vb], axis=0)
-
-
 def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
                 batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> float:
     """In-batch averaged exp-similarity mass for anchor view (i, aug_k).
@@ -80,9 +67,14 @@ def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     different from i (masking is by dataset index, which keeps the estimator
     unbiased for g_exact under uniform sampling).
     """
-    members = _member_views(ds, fam, i, batch)
+    keep = batch.indices != i
+    if not keep.any():
+        raise ValueError(f"batch holds no negatives for sample {i}")
+    pts = ds.points[batch.indices[keep]]
     anchor = apply_augmentation(fam, aug_k, ds.points[i])
-    E, _ = encoder.encode_batch(params, np.concatenate([anchor[None, :], members]))
+    X = np.concatenate([anchor[None, :], pts + fam.deltas[batch.aug_a[keep]],
+                        pts + fam.deltas[batch.aug_b[keep]]])
+    E, _ = encoder.encode_batch(params, X)
     sims = E[1:] @ E[0]
     return float(np.mean(np.exp(sims / cfg.tau)))
 
@@ -97,44 +89,6 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     block = np.zeros(ds.n * fam.K, dtype=bool)
     block[i * fam.K:(i + 1) * fam.K] = True
     return float(np.mean(np.exp(sims[~block] / cfg.tau)))
-
-
-def local_loss(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,
-               batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> float:
-    """Classical in-batch softmax loss with the SUM normalizer.
-
-    -sim(pos)/tau + ln( sum over in-batch negative views of exp(sim/tau) ),
-    anchored at view aug_a with positive partner view aug_b.
-    """
-    members = _member_views(ds, fam, i, batch)
-    va = apply_augmentation(fam, aug_a, ds.points[i])
-    vb = apply_augmentation(fam, aug_b, ds.points[i])
-    E, _ = encoder.encode_batch(params, np.concatenate([va[None, :], vb[None, :], members]))
-    pos = float(E[0] @ E[1])
-    sims = E[2:] @ E[0]
-    return -pos / cfg.tau + float(np.log(np.sum(np.exp(sims / cfg.tau))))
-
-
-def global_loss_v1(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,
-                   ds: Dataset, fam: AugmentationFamily) -> float:
-    """Tau-scaled per-pair global loss with the augmentation average outside the log."""
-    va = apply_augmentation(fam, aug_a, ds.points[i])
-    vb = apply_augmentation(fam, aug_b, ds.points[i])
-    E, _ = encoder.encode_batch(params, np.stack([va, vb]))
-    pos = float(E[0] @ E[1])
-    g = g_exact(params, cfg, i, aug_a, ds, fam)
-    return -pos + cfg.tau * float(np.log(cfg.eps0 + g))
-
-
-def global_loss_v2(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,
-                   ds: Dataset, fam: AugmentationFamily) -> float:
-    """As global_loss_v1 but the log argument averages g over all K views first."""
-    va = apply_augmentation(fam, aug_a, ds.points[i])
-    vb = apply_augmentation(fam, aug_b, ds.points[i])
-    E, _ = encoder.encode_batch(params, np.stack([va, vb]))
-    pos = float(E[0] @ E[1])
-    gmean = np.mean([g_exact(params, cfg, i, k, ds, fam) for k in range(fam.K)])
-    return -pos + cfg.tau * float(np.log(cfg.eps0 + gmean))
 
 
 # Target size, in entries, of the row blocks epsilon is computed over:

@@ -14,6 +14,9 @@ package, as yardsticks for the code that replaced them.
   it was computed as one stacked block over the 2B anchor views. Here the
   first-view and second-view anchors are two halves, and S = E @ E.T.
   The one edit is that _batch_stats calls the encode_batch copied here.
+- The one-shot mini-batch sampler from before it drew through a fresh
+  MinibatchSampler, and the two per-pair global losses that average to
+  the enumeration oracle's value.
 """
 
 from dataclasses import dataclass, field
@@ -23,12 +26,12 @@ import numpy as np
 from gcobench import encoder
 from gcobench.bimodal import (PairedDataset, _paired_stats, flat_to_pair,
                               pair_to_flat)
-from gcobench.embed_core import (AugmentationFamily, Dataset, MiniBatch,
-                                 all_views)
+from gcobench.embed_core import (SAMPLING_MODES, AugmentationFamily, Dataset,
+                                 MiniBatch, all_views, apply_augmentation)
 from gcobench.encoder import (DegenerateEmbeddingError, EncoderParams,
                               ForwardCache)
 from gcobench.objective import (ORACLE_GUARD, GlobalObjectiveConfig,
-                                OracleSizeError)
+                                OracleSizeError, g_exact)
 from gcobench.optimizers import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STEP_RULES,
                                  U_LAG_MODES, NumericError, OptimizerState,
                                  StepReport, _check_finite)
@@ -437,3 +440,49 @@ def twoway_step(state: BimodalState, params_image, params_text,
     if not np.isfinite(w).all():
         raise NumericError("non-finite parameter vector")
     return flat_to_pair(params_image, params_text, w)
+
+
+def sample_minibatch(ds: Dataset, fam: AugmentationFamily, B: int,
+                     rng: np.random.Generator,
+                     mode: str = "epoch_shuffle") -> MiniBatch:
+    """Draw a single mini-batch.
+
+    epoch_shuffle takes the first B entries of a fresh permutation (B = n gives
+    a full permutation). The two augmentation choices per index are independent
+    uniform draws and may coincide. Reproducible given the generator state.
+    """
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode: {mode!r}")
+    if B < 2:
+        raise ValueError("batch size must be at least 2 (no negatives otherwise)")
+    if mode == "epoch_shuffle":
+        if B > ds.n:
+            raise ValueError(f"epoch_shuffle needs B <= n, got B={B}, n={ds.n}")
+        idx = rng.permutation(ds.n)[:B]
+    else:
+        idx = rng.integers(0, ds.n, size=B)
+    aug_a = rng.integers(0, fam.K, size=B)
+    aug_b = rng.integers(0, fam.K, size=B)
+    return MiniBatch(indices=idx, aug_a=aug_a, aug_b=aug_b)
+
+
+def global_loss_v1(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,
+                   ds: Dataset, fam: AugmentationFamily) -> float:
+    """Tau-scaled per-pair global loss with the augmentation average outside the log."""
+    va = apply_augmentation(fam, aug_a, ds.points[i])
+    vb = apply_augmentation(fam, aug_b, ds.points[i])
+    E, _ = encoder.encode_batch(params, np.stack([va, vb]))
+    pos = float(E[0] @ E[1])
+    g = g_exact(params, cfg, i, aug_a, ds, fam)
+    return -pos + cfg.tau * float(np.log(cfg.eps0 + g))
+
+
+def global_loss_v2(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,
+                   ds: Dataset, fam: AugmentationFamily) -> float:
+    """As global_loss_v1 but the log argument averages g over all K views first."""
+    va = apply_augmentation(fam, aug_a, ds.points[i])
+    vb = apply_augmentation(fam, aug_b, ds.points[i])
+    E, _ = encoder.encode_batch(params, np.stack([va, vb]))
+    pos = float(E[0] @ E[1])
+    gmean = np.mean([g_exact(params, cfg, i, k, ds, fam) for k in range(fam.K)])
+    return -pos + cfg.tau * float(np.log(cfg.eps0 + gmean))

@@ -202,6 +202,28 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["train", "dataset.n=2", "dataset.clusters=1",
+      "optimizer.sampling=with_replacement", "optimizer.batch_size=2",
+      "optimizer.steps=20"], EXIT_NUMERIC, "numeric error: step "),
+    (["sweep", "dataset.n=3", "dataset.clusters=1",
+      "optimizer.sampling=with_replacement", "sweep.batch_sizes=2",
+      "optimizer.steps=50"], EXIT_NUMERIC, "numeric error: step "),
+    (["train", "CONFIG"], EXIT_CONFIG, "config error: CONFIG"),
+    (["gradcheck", "objective.tau=1e-4"], EXIT_NUMERIC, "numeric error: "),
+], ids=["batch-without-negatives", "sweep-batch-without-negatives",
+        "config-not-utf8", "gradcheck-non-finite-differences"])
+def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(prefix.replace("CONFIG", str(cfg)))
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -7,7 +7,7 @@ import pytest
 from gcobench import (DegenerateEmbeddingError, EncoderParams, backward_batch,
                       encode, encode_batch, finite_diff_flat,
                       finite_diff_grad, flatten_params, init_encoder,
-                      load_encoder, save_encoder, unflatten_params, vjp_sim)
+                      load_encoder, save_encoder, unflatten_params)
 from gcobench.encoder import ARCHITECTURES, _central_diff
 
 
@@ -96,31 +96,6 @@ def test_backward_batch_matches_finite_differences(arch):
     fd = finite_diff_grad(f, params)
     err = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
     assert err < 1e-7
-
-
-@pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_vjp_sim_matches_finite_differences(arch):
-    params = init_encoder(arch, 4, 3, d_hidden=5, seed=8)
-    rng = np.random.default_rng(9)
-    xa, xb = rng.standard_normal(4), rng.standard_normal(4)
-
-    def sim(p):
-        return float(encode(p, xa) @ encode(p, xb))
-
-    analytic = vjp_sim(params, xa, xb, 1.0)
-    fd = finite_diff_grad(sim, params)
-    err = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
-    assert err < 1e-7
-
-
-def test_vjp_sim_linear_in_cotangent():
-    params = init_encoder("linear", 3, 2, seed=1)
-    xa, xb = np.array([1.0, 0.2, -0.5]), np.array([0.3, -1.0, 0.8])
-    base = vjp_sim(params, xa, xb, 1.0)
-    np.testing.assert_allclose(vjp_sim(params, xa, xb, 2.5), 2.5 * base,
-                               rtol=1e-14)
-    np.testing.assert_allclose(vjp_sim(params, xa, xb, -1.0), -base,
-                               rtol=1e-14)
 
 
 def test_finite_diff_grad_exact_on_quadratic():

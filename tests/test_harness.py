@@ -299,13 +299,6 @@ def test_sweep_batch_size_rejects_oversized_batches():
         sweep_batch_size(replace(SMALL, sweep_batch_sizes=(2, 64)))
 
 
-def test_sweep_explicit_arguments_override_config():
-    result = sweep_batch_size(SMALL, batch_sizes=(2,), seeds=(3,))
-    assert len(result.rows) == 1
-    assert result.rows[0].batch_size == 2
-    assert len(result.rows[0].plateaus) == 1
-
-
 GRADCHECK_NAMES = ("oracle_v1_grad", "oracle_v2_grad", "twoway_oracle_grad",
                    "simclr_estimator_vs_loss", "dcl_surrogate_vs_sogclr",
                    "sogclr_vs_oracle_v2", "twoway_planted_u")

@@ -1,19 +1,19 @@
-"""Losses, the averaged negative masses, and the exact enumeration oracle,
-validated against independent brute-force loops."""
+"""The averaged negative masses and the exact enumeration oracle, validated
+against independent brute-force loops."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from gcobench import (AugmentationFamily, Dataset, EncoderParams,
                       GlobalObjectiveConfig, MiniBatch, OracleSizeError,
                       aug_consistency_eps, aug_consistency_eps_mean, encode,
-                      finite_diff_grad, g_exact, g_minibatch, global_loss_v1,
-                      global_loss_v2, local_loss, oracle_F, oracle_value)
+                      finite_diff_grad, g_exact, g_minibatch, oracle_F,
+                      oracle_value)
 from gcobench.objective import ORACLE_GUARD, VERSIONS
 
+import reference
 from conftest import identical_instance, make_instance, orthogonal_instance
 
 
@@ -95,13 +95,6 @@ def test_orthogonal_instance_value_is_minus_one(version):
                         rel_tol=1e-12)
 
 
-def test_orthogonal_instance_local_loss():
-    ds, fam, params, cfg = orthogonal_instance(tau=0.5)
-    batch = MiniBatch(indices=[0, 1], aug_a=[0, 0], aug_b=[0, 0])
-    val = local_loss(params, cfg, 0, 0, 0, batch, ds, fam)
-    assert math.isclose(val, -2.0 + math.log(2.0), rel_tol=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_g_exact_matches_brute_force(seed):
     ds, fam, params, cfg = make_instance(n=5, K=3, seed=seed)
@@ -159,24 +152,6 @@ def test_g_minibatch_unbiased_by_exhaustive_enumeration():
                         g_exact(params, cfg, 0, 1, ds, fam), rel_tol=1e-12)
 
 
-def test_local_loss_matches_logsumexp():
-    ds, fam, params, cfg = make_instance(n=6, K=2, seed=7, tau=0.3)
-    batch = MiniBatch(indices=[0, 3, 5, 1], aug_a=[0, 1, 0, 1],
-                      aug_b=[1, 0, 0, 1])
-    va = brute_view(params, ds, fam, 0, 0)
-    vb = brute_view(params, ds, fam, 0, 1)
-    sims = []
-    for t in range(batch.B):
-        j = int(batch.indices[t])
-        if j == 0:
-            continue
-        for k in (int(batch.aug_a[t]), int(batch.aug_b[t])):
-            sims.append(float(va @ brute_view(params, ds, fam, j, k)))
-    expected = -float(va @ vb) / cfg.tau + float(logsumexp(np.array(sims) / cfg.tau))
-    assert math.isclose(local_loss(params, cfg, 0, 0, 1, batch, ds, fam),
-                        expected, rel_tol=1e-12)
-
-
 @pytest.mark.parametrize("version", VERSIONS)
 def test_oracle_value_matches_brute_force(version):
     ds, fam, params, cfg = make_instance(n=4, K=2, seed=2, version=version,
@@ -191,7 +166,7 @@ def test_oracle_value_is_mean_of_per_pair_losses(version):
     # Averaging the per-pair global loss over every (sample, view, view)
     # triple reproduces the oracle objective exactly.
     ds, fam, params, cfg = make_instance(n=4, K=2, seed=9, version=version)
-    loss = global_loss_v1 if version == "v1" else global_loss_v2
+    loss = getattr(reference, f"global_loss_{version}")
     vals = [loss(params, cfg, i, a, b, ds, fam)
             for i in range(ds.n)
             for a in range(fam.K)
