@@ -66,6 +66,55 @@ def test_apply_overrides():
         apply_overrides(RunConfig(), ["optimizer.learning_rate=0.5"])
 
 
+KEY_TABLE = [
+    ("dataset.n", "12", "n", 12),
+    ("dataset.d_in", "5", "d_in", 5),
+    ("dataset.clusters", "3", "clusters", 3),
+    ("dataset.separation", "2.5", "separation", 2.5),
+    ("dataset.seed", "17", "data_seed", 17),
+    ("dataset.d_text", "6", "d_text", 6),
+    ("aug.k", "3", "aug_k", 3),
+    ("aug.scale", "0.25", "aug_scale", 0.25),
+    ("aug.seed", "21", "aug_seed", 21),
+    ("encoder.arch", "one_hidden", "arch", "one_hidden"),
+    ("encoder.d_hidden", "9", "d_hidden", 9),
+    ("encoder.m", "5", "m_embed", 5),
+    ("encoder.seed", "13", "encoder_seed", 13),
+    ("encoder.init_scale", "0.5", "init_scale", 0.5),
+    ("objective.tau", "auto", "tau", None),
+    ("objective.eps0", "0.125", "eps0", 0.125),
+    ("objective.version", "v2", "version", "v2"),
+    ("optimizer.algo", "simclr", "algo", "simclr"),
+    ("optimizer.eta", "0.05", "eta", 0.05),
+    ("optimizer.beta", "0.75", "beta", 0.75),
+    ("optimizer.gamma", "0.6", "gamma", 0.6),
+    ("optimizer.batch_size", "6", "batch_size", 6),
+    ("optimizer.steps", "40", "steps", 40),
+    ("optimizer.sampling", "with_replacement", "sampling", "with_replacement"),
+    ("optimizer.u_lag", "lagged", "u_lag", "lagged"),
+    ("optimizer.seed", "19", "train_seed", 19),
+    ("metrics.cadence", "7", "cadence", 7),
+    ("metrics.timing", "on", "timing", True),
+    ("metrics.path", "m.jsonl", "metrics_path", "m.jsonl"),
+    ("metrics.format", "jsonl", "metrics_format", "jsonl"),
+    ("checkpoint.path", "c.npz", "checkpoint_path", "c.npz"),
+    ("sweep.batch_sizes", "2,8", "sweep_batch_sizes", (2, 8)),
+    ("sweep.seeds", "4,5", "sweep_seeds", (4, 5)),
+    ("sweep.path", "s.csv", "sweep_path", "s.csv"),
+]
+
+
+def test_every_config_key_sets_its_field():
+    assert sorted(harness.KEY_MAP) == sorted(key for key, *_ in KEY_TABLE)
+    assert len(KEY_TABLE) == len(fields(RunConfig)) == 34
+    base = RunConfig(tau=0.3)
+    for key, raw, name, value in KEY_TABLE:
+        config = apply_overrides(base, [f"{key}={raw}"])
+        assert getattr(config, name) == value, key
+        assert type(getattr(config, name)) is type(value), key
+        assert replace(config, **{name: getattr(base, name)}) == base, key
+
+
 @pytest.mark.parametrize("bad", [
     dict(n=1),
     dict(clusters=0),
