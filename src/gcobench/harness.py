@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,45 +63,51 @@ class MetricsRecord:
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
+def _key(key: str, default):
+    """A RunConfig field set by the dotted config key `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment needs, flat. tau = None picks the
-    per-algorithm default (0.1 unimodal, 0.07 bimodal)."""
+    """Everything one experiment needs, flat. Each field declares the
+    dotted key that sets it from a config file or override. tau = None
+    picks the per-algorithm default (0.1 unimodal, 0.07 bimodal)."""
 
-    n: int = 32
-    d_in: int = 8
-    clusters: int = 2
-    separation: float = 3.0
-    data_seed: int = 7
-    d_text: int = 8
-    aug_k: int = 2
-    aug_scale: float = 0.1
-    aug_seed: int = 11
-    arch: str = "linear"
-    d_hidden: int = 8
-    m_embed: int = 4
-    encoder_seed: int = 3
-    init_scale: float = 1.0
-    tau: float | None = None
-    eps0: float = 0.0
-    version: str = "v1"
-    algo: str = "sogclr"
-    eta: float = 0.3
-    beta: float = 0.9
-    gamma: float = 0.8
-    batch_size: int = 8
-    steps: int = 500
-    sampling: str = "epoch_shuffle"
-    u_lag: str = "fresh"
-    train_seed: int = 5
-    cadence: int = 10
-    timing: bool = False
-    metrics_path: str = ""
-    metrics_format: str = "csv"
-    checkpoint_path: str = ""
-    sweep_batch_sizes: tuple[int, ...] = (4, 16, 64)
-    sweep_seeds: tuple[int, ...] = (1, 2, 3)
-    sweep_path: str = ""
+    n: int = _key("dataset.n", 32)
+    d_in: int = _key("dataset.d_in", 8)
+    clusters: int = _key("dataset.clusters", 2)
+    separation: float = _key("dataset.separation", 3.0)
+    data_seed: int = _key("dataset.seed", 7)
+    d_text: int = _key("dataset.d_text", 8)
+    aug_k: int = _key("aug.k", 2)
+    aug_scale: float = _key("aug.scale", 0.1)
+    aug_seed: int = _key("aug.seed", 11)
+    arch: str = _key("encoder.arch", "linear")
+    d_hidden: int = _key("encoder.d_hidden", 8)
+    m_embed: int = _key("encoder.m", 4)
+    encoder_seed: int = _key("encoder.seed", 3)
+    init_scale: float = _key("encoder.init_scale", 1.0)
+    tau: float | None = _key("objective.tau", None)
+    eps0: float = _key("objective.eps0", 0.0)
+    version: str = _key("objective.version", "v1")
+    algo: str = _key("optimizer.algo", "sogclr")
+    eta: float = _key("optimizer.eta", 0.3)
+    beta: float = _key("optimizer.beta", 0.9)
+    gamma: float = _key("optimizer.gamma", 0.8)
+    batch_size: int = _key("optimizer.batch_size", 8)
+    steps: int = _key("optimizer.steps", 500)
+    sampling: str = _key("optimizer.sampling", "epoch_shuffle")
+    u_lag: str = _key("optimizer.u_lag", "fresh")
+    train_seed: int = _key("optimizer.seed", 5)
+    cadence: int = _key("metrics.cadence", 10)
+    timing: bool = _key("metrics.timing", False)
+    metrics_path: str = _key("metrics.path", "")
+    metrics_format: str = _key("metrics.format", "csv")
+    checkpoint_path: str = _key("checkpoint.path", "")
+    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (4, 16, 64))
+    sweep_seeds: tuple[int, ...] = _key("sweep.seeds", (1, 2, 3))
+    sweep_path: str = _key("sweep.path", "")
 
 
 def _parse_opt_float(raw: str):
@@ -124,42 +130,13 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-KEY_MAP = {
-    "dataset.n": ("n", int),
-    "dataset.d_in": ("d_in", int),
-    "dataset.clusters": ("clusters", int),
-    "dataset.separation": ("separation", float),
-    "dataset.seed": ("data_seed", int),
-    "dataset.d_text": ("d_text", int),
-    "aug.k": ("aug_k", int),
-    "aug.scale": ("aug_scale", float),
-    "aug.seed": ("aug_seed", int),
-    "encoder.arch": ("arch", str),
-    "encoder.d_hidden": ("d_hidden", int),
-    "encoder.m": ("m_embed", int),
-    "encoder.seed": ("encoder_seed", int),
-    "encoder.init_scale": ("init_scale", float),
-    "objective.tau": ("tau", _parse_opt_float),
-    "objective.eps0": ("eps0", float),
-    "objective.version": ("version", str),
-    "optimizer.algo": ("algo", str),
-    "optimizer.eta": ("eta", float),
-    "optimizer.beta": ("beta", float),
-    "optimizer.gamma": ("gamma", float),
-    "optimizer.batch_size": ("batch_size", int),
-    "optimizer.steps": ("steps", int),
-    "optimizer.sampling": ("sampling", str),
-    "optimizer.u_lag": ("u_lag", str),
-    "optimizer.seed": ("train_seed", int),
-    "metrics.cadence": ("cadence", int),
-    "metrics.timing": ("timing", _parse_bool),
-    "metrics.path": ("metrics_path", str),
-    "metrics.format": ("metrics_format", str),
-    "checkpoint.path": ("checkpoint_path", str),
-    "sweep.batch_sizes": ("sweep_batch_sizes", _parse_int_tuple),
-    "sweep.seeds": ("sweep_seeds", _parse_int_tuple),
-    "sweep.path": ("sweep_path", str),
-}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "float | None": _parse_opt_float,
+            "tuple[int, ...]": _parse_int_tuple}
+
+# Dotted config key -> (RunConfig field, parser of its raw text).
+KEY_MAP = {f.metadata["key"]: (f.name, _PARSERS[f.type])
+           for f in fields(RunConfig)}
 
 
 def _apply_pairs(config: RunConfig, pairs, where: str) -> RunConfig:
@@ -218,11 +195,10 @@ def validate_config(config: RunConfig) -> None:
         if not cond:
             raise ConfigError(msg)
 
-    keys = {name: key for key, (name, _) in KEY_MAP.items()}
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float):
-            need(math.isfinite(value), f"{keys[f.name]} must be finite")
+            need(math.isfinite(value), f"{f.metadata['key']} must be finite")
     need(config.n >= 2, "dataset.n must be >= 2")
     need(config.d_in >= 1, "dataset.d_in must be >= 1")
     need(config.clusters >= 1, "dataset.clusters must be >= 1")
@@ -419,20 +395,21 @@ def train(config: RunConfig):
         values = measure(params)
         for column, value in zip(METRICS_COLUMNS[1:], values):
             if not math.isfinite(value):
-                raise NumericError(f"step {t}: non-finite {column} ({value})")
+                raise NumericError(f"non-finite {column} ({value})")
         ms = (time.perf_counter() - start) * 1000.0 if config.timing else 0.0
         records.append(MetricsRecord(t, *values, ms))
 
-    record(0, params)
-    for t in range(1, config.steps + 1):
-        try:
+    t = 0
+    try:
+        record(0, params)
+        for t in range(1, config.steps + 1):
             params = step(params)
-        except (NumericError, ValueError) as exc:
-            # A ValueError here comes from the drawn batch (a slot without
-            # negatives) or a collapsed embedding: a numeric failure.
-            raise NumericError(f"step {t}: {exc}") from exc
-        if t % config.cadence == 0 or t == config.steps:
-            record(t, params)
+            if t % config.cadence == 0 or t == config.steps:
+                record(t, params)
+    except (NumericError, ValueError) as exc:
+        # A ValueError here comes from the drawn batch (a slot without
+        # negatives) or a collapsed embedding: a numeric failure.
+        raise NumericError(f"step {t}: {exc}") from exc
 
     if config.metrics_path:
         emit_metrics(records, config.metrics_path, config.metrics_format)
@@ -471,7 +448,10 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
             cell = replace(config, batch_size=b, train_seed=seed,
                            encoder_seed=config.encoder_seed + seed,
                            metrics_path="", checkpoint_path="", sweep_path="")
-            values.append(plateau(train(cell)))
+            try:
+                values.append(plateau(train(cell)))
+            except NumericError as exc:
+                raise NumericError(f"sweep cell B={b} seed={seed}: {exc}") from exc
         arr = np.array(values)
         std = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
         rows.append(SweepRow(batch_size=int(b), plateau_mean=float(arr.mean()),

@@ -59,6 +59,11 @@ class OracleResult:
     eps_sq_mean: float
 
 
+def _check_index(what: str, j: int, size: int) -> None:
+    if not 0 <= j < size:
+        raise IndexError(f"{what} index {j} out of range [0, {size})")
+
+
 def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
                 batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> float:
     """In-batch averaged exp-similarity mass for anchor view (i, aug_k).
@@ -67,6 +72,7 @@ def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     different from i (masking is by dataset index, which keeps the estimator
     unbiased for g_exact under uniform sampling).
     """
+    _check_index("sample", i, ds.n)
     keep = batch.indices != i
     if not keep.any():
         raise ValueError(f"batch holds no negatives for sample {i}")
@@ -81,14 +87,12 @@ def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
 
 def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
             ds: Dataset, fam: AugmentationFamily) -> float:
-    """Exact averaged exp-similarity mass over all (n-1)*K negative views."""
-    X = all_views(ds, fam)
-    E, _ = encoder.encode_batch(params, X)
-    anchor = E[i * fam.K + aug_k]
-    sims = E @ anchor
-    block = np.zeros(ds.n * fam.K, dtype=bool)
-    block[i * fam.K:(i + 1) * fam.K] = True
-    return float(np.mean(np.exp(sims[~block] / cfg.tau)))
+    """Exact averaged exp-similarity mass over all (n-1)*K negative views:
+    entry [i, aug_k] of the oracle's per_sample_g, under the oracle's guard."""
+    _check_index("sample", i, ds.n)
+    _check_index("augmentation", aug_k, fam.K)
+    *_, per_sample_g, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
+    return float(per_sample_g[i, aug_k])
 
 
 # Target size, in entries, of the row blocks epsilon is computed over:
@@ -99,7 +103,10 @@ _EPS_BLOCK = 1 << 17
 def _similarities(params, ds: Dataset, fam: AugmentationFamily):
     """Embeddings of all n*K views, their forward cache, E transposed
     (contiguous), the n*K x n*K similarity matrix S, and a copy of its
-    (n, K, K) own-view blocks."""
+    (n, K, K) own-view blocks. Refuses n*K above the enumeration guard."""
+    nK = ds.n * fam.K
+    if nK > ORACLE_GUARD:
+        raise OracleSizeError(f"oracle enumeration needs n*K <= {ORACLE_GUARD}, got {nK}")
     E, cache = encoder.encode_batch(params, all_views(ds, fam))
     Et = np.ascontiguousarray(E.T)
     # Not E @ E.T: numpy sends that to syrk and then mirrors the triangle
@@ -117,8 +124,8 @@ def _dev_sq_sums(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("ikz,ikz->i", dev, dev)
 
 
-def _eps_sq_mean(S: np.ndarray, own: np.ndarray) -> float:
-    """Mean over samples of aug_consistency_eps, read off S.
+def _eps_per_sample(S: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """aug_consistency_eps of every sample, read off S.
 
     Sample i's value is 2 * (population variance over k of S[(i, k), z])
     averaged over its (n - 1) * K negative columns z: the deviation sum over
@@ -130,8 +137,7 @@ def _eps_sq_mean(S: np.ndarray, own: np.ndarray) -> float:
     step = max(1, _EPS_BLOCK // (K * nK))
     total = np.concatenate([_dev_sq_sums(S[a * K:(a + step) * K].reshape(-1, K, nK))
                             for a in range(0, n, step)])
-    per_sample = 2.0 * (total - _dev_sq_sums(own)) / (K * (n - 1) * K)
-    return float(np.mean(per_sample))
+    return 2.0 * (total - _dev_sq_sums(own)) / (K * (n - 1) * K)
 
 
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -142,11 +148,9 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     cotangent is (W + W.T) @ E minus the alignment block sums."""
     n, K = ds.n, fam.K
     nK = n * K
-    if nK > ORACLE_GUARD:
-        raise OracleSizeError(f"oracle enumeration needs n*K <= {ORACLE_GUARD}, got {nK}")
     E, Et, cache, S, own = _similarities(params, ds, fam)
     align = -own.sum() / (n * K * K)
-    eps = _eps_sq_mean(S, own) if want_grad else None
+    eps = float(np.mean(_eps_per_sample(S, own))) if want_grad else None
 
     S /= cfg.tau
     np.exp(S, out=S)
@@ -205,19 +209,12 @@ def aug_consistency_eps(params, ds: Dataset, fam: AugmentationFamily, i: int) ->
     (1/K^2) sum_{k,k'} (1/|S_i|) sum_z (sim(e_ik, z) - sim(e_ik', z))^2.
     Zero when K = 1 or all perturbations coincide.
     """
-    X = all_views(ds, fam)
-    E, _ = encoder.encode_batch(params, X)
-    n, K = ds.n, fam.K
-    block_rows = E[i * K:(i + 1) * K]
-    sims = block_rows @ E.T                           # (K, nK)
-    mask = np.ones(n * K, dtype=bool)
-    mask[i * K:(i + 1) * K] = False
-    R = sims[:, mask]                                 # (K, (n-1)K)
-    # (1/K^2) sum_{k,k'} (a_k - a_k')^2 = 2 * population variance over k
-    return float(np.mean(2.0 * R.var(axis=0)))
+    _check_index("sample", i, ds.n)
+    *_, S, own = _similarities(params, ds, fam)
+    return float(_eps_per_sample(S, own)[i])
 
 
 def aug_consistency_eps_mean(params, ds: Dataset, fam: AugmentationFamily) -> float:
     """Mean of aug_consistency_eps over all samples (one shared embedding pass)."""
     *_, S, own = _similarities(params, ds, fam)
-    return _eps_sq_mean(S, own)
+    return float(np.mean(_eps_per_sample(S, own)))

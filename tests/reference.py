@@ -16,7 +16,8 @@ package, as yardsticks for the code that replaced them.
   The one edit is that _batch_stats calls the encode_batch copied here.
 - The one-shot mini-batch sampler from before it drew through a fresh
   MinibatchSampler, and the two per-pair global losses that average to
-  the enumeration oracle's value.
+  the enumeration oracle's value, with the g_exact they call from before
+  it was read off the oracle's pass.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from gcobench.embed_core import (SAMPLING_MODES, AugmentationFamily, Dataset,
 from gcobench.encoder import (DegenerateEmbeddingError, EncoderParams,
                               ForwardCache)
 from gcobench.objective import (ORACLE_GUARD, GlobalObjectiveConfig,
-                                OracleSizeError, g_exact)
+                                OracleSizeError)
 from gcobench.optimizers import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STEP_RULES,
                                  U_LAG_MODES, NumericError, OptimizerState,
                                  StepReport, _check_finite)
@@ -464,6 +465,18 @@ def sample_minibatch(ds: Dataset, fam: AugmentationFamily, B: int,
     aug_a = rng.integers(0, fam.K, size=B)
     aug_b = rng.integers(0, fam.K, size=B)
     return MiniBatch(indices=idx, aug_a=aug_a, aug_b=aug_b)
+
+
+def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
+            ds: Dataset, fam: AugmentationFamily) -> float:
+    """Exact averaged exp-similarity mass over all (n-1)*K negative views."""
+    X = all_views(ds, fam)
+    E, _ = encoder.encode_batch(params, X)
+    anchor = E[i * fam.K + aug_k]
+    sims = E @ anchor
+    block = np.zeros(ds.n * fam.K, dtype=bool)
+    block[i * fam.K:(i + 1) * fam.K] = True
+    return float(np.mean(np.exp(sims[~block] / cfg.tau)))
 
 
 def global_loss_v1(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b: int,

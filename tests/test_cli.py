@@ -208,11 +208,17 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
       "optimizer.steps=20"], EXIT_NUMERIC, "numeric error: step "),
     (["sweep", "dataset.n=3", "dataset.clusters=1",
       "optimizer.sampling=with_replacement", "sweep.batch_sizes=2",
-      "optimizer.steps=50"], EXIT_NUMERIC, "numeric error: step "),
+      "optimizer.steps=50"], EXIT_NUMERIC,
+     "numeric error: sweep cell B=2 seed=1: step 1: batch slot 0 has no "
+     "negatives"),
     (["train", "CONFIG"], EXIT_CONFIG, "config error: CONFIG"),
     (["gradcheck", "objective.tau=1e-4"], EXIT_NUMERIC, "numeric error: "),
+    (["train", "encoder.init_scale=1e-200"], EXIT_NUMERIC,
+     "numeric error: step 0: pre-normalization output collapsed (row 0, "
+     "norm 0.000e+00)"),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
-        "config-not-utf8", "gradcheck-non-finite-differences"])
+        "config-not-utf8", "gradcheck-non-finite-differences",
+        "step-0-collapsed-embedding"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")

@@ -224,6 +224,21 @@ def test_oracle_refuses_oversized_instances():
     cfg = GlobalObjectiveConfig()
     with pytest.raises(OracleSizeError):
         oracle_value(params, cfg, ds, fam)
+    with pytest.raises(OracleSizeError):
+        g_exact(params, cfg, 0, 0, ds, fam)
+
+
+@pytest.mark.parametrize("i, aug_k", [(-1, 0), (5, 0), (0, -1), (0, 2)])
+def test_out_of_range_anchors_raise(i, aug_k):
+    ds, fam, params, cfg = make_instance(n=5, K=2, seed=3)
+    batch = MiniBatch(indices=[1, 3], aug_a=[0, 1], aug_b=[1, 0])
+    with pytest.raises(IndexError):
+        g_minibatch(params, cfg, i, aug_k, batch, ds, fam)
+    with pytest.raises(IndexError):
+        g_exact(params, cfg, i, aug_k, ds, fam)
+    if aug_k == 0:
+        with pytest.raises(IndexError):
+            aug_consistency_eps(params, ds, fam, i)
 
 
 def test_aug_consistency_matches_brute_force():
