@@ -199,6 +199,8 @@ def validate_config(config: RunConfig) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float):
             need(math.isfinite(value), f"{f.metadata['key']} must be finite")
+        if f.name.endswith("seed"):
+            need(value >= 0, f"{f.metadata['key']} must be >= 0")
     need(config.n >= 2, "dataset.n must be >= 2")
     need(config.d_in >= 1, "dataset.d_in must be >= 1")
     need(config.clusters >= 1, "dataset.clusters must be >= 1")
@@ -229,7 +231,6 @@ def validate_config(config: RunConfig) -> None:
          f"optimizer.u_lag must be one of {U_LAG_MODES}")
     need(config.sampling != "epoch_shuffle" or config.batch_size <= config.n,
          "optimizer.batch_size must be <= dataset.n under epoch_shuffle")
-    need(config.train_seed >= 0, "optimizer.seed must be >= 0")
     need(config.cadence >= 1, "metrics.cadence must be >= 1")
     need(config.metrics_format in METRICS_FORMATS,
          f"metrics.format must be one of {METRICS_FORMATS}")
@@ -237,6 +238,7 @@ def validate_config(config: RunConfig) -> None:
     need(all(b >= 2 for b in config.sweep_batch_sizes),
          "sweep.batch_sizes entries must be >= 2")
     need(len(config.sweep_seeds) >= 1, "sweep.seeds must be nonempty")
+    need(all(s >= 0 for s in config.sweep_seeds), "sweep.seeds entries must be >= 0")
     _check_oracle_size(config, paired=config.algo == "bimodal_sogclr")
 
 

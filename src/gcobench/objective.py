@@ -11,6 +11,10 @@ Conventions used throughout the package:
 
 Version "v1" averages f over the augmentation draw outside the log; "v2" moves
 the augmentation average inside the log. The two coincide when K = 1.
+
+The exact oracle's time is quadratic in n*K, but its memory is linear: it
+walks the n*K x n*K similarity matrix S in row tiles and never holds it.
+The consistency diagnostic needs no S, only the m x m Gram matrix.
 """
 
 from __future__ import annotations
@@ -95,88 +99,82 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     return float(per_sample_g[i, aug_k])
 
 
-# Target size, in entries, of the row blocks epsilon is computed over:
-# about 1 MiB of float64, so a block's deviations stay in cache.
-_EPS_BLOCK = 1 << 17
+# Entries per row tile of S: 1 MiB of float64 stays in L2 across the tile's
+# sweeps, and 2^17 was the fastest of 2^15..2^20 at n = 256, 1024 and 5000.
+# Tiles hold whole samples, so one sample's tile exceeds it if K * n*K does.
+_TILE_BUDGET = 1 << 17
 
 
-def _similarities(params, ds: Dataset, fam: AugmentationFamily):
-    """Embeddings of all n*K views, their forward cache, E transposed
-    (contiguous), the n*K x n*K similarity matrix S, and a copy of its
-    (n, K, K) own-view blocks. Refuses n*K above the enumeration guard."""
+def _embeddings(params, ds: Dataset, fam: AugmentationFamily):
+    """All n*K view embeddings and their forward cache, under the guard."""
     nK = ds.n * fam.K
     if nK > ORACLE_GUARD:
         raise OracleSizeError(f"oracle enumeration needs n*K <= {ORACLE_GUARD}, got {nK}")
-    E, cache = encoder.encode_batch(params, all_views(ds, fam))
-    Et = np.ascontiguousarray(E.T)
-    # Not E @ E.T: numpy sends that to syrk and then mirrors the triangle
-    # element by element, several times slower than gemm at these sizes.
-    S = E @ Et
-    ar = np.arange(ds.n)
-    own = S.reshape(ds.n, fam.K, ds.n, fam.K)[ar, :, ar, :]
-    return E, Et, cache, S, own
+    return encoder.encode_batch(params, all_views(ds, fam))
 
 
-def _dev_sq_sums(blocks: np.ndarray) -> np.ndarray:
-    """Per leading index, the sum of squared deviations from the mean over
-    axis 1 of a (c, K, cols) array."""
-    dev = blocks - blocks.mean(axis=1, keepdims=True)
-    return np.einsum("ikz,ikz->i", dev, dev)
+def _consistency(E: np.ndarray, K: int) -> np.ndarray:
+    """aug_consistency_eps of every sample, from the m x m Gram matrix.
 
-
-def _eps_per_sample(S: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """aug_consistency_eps of every sample, read off S.
-
-    Sample i's value is 2 * (population variance over k of S[(i, k), z])
-    averaged over its (n - 1) * K negative columns z: the deviation sum over
-    all columns minus that over its own block, taken over row blocks of
-    whole samples.
-    """
-    n, K = own.shape[:2]
-    nK = n * K
-    step = max(1, _EPS_BLOCK // (K * nK))
-    total = np.concatenate([_dev_sq_sums(S[a * K:(a + step) * K].reshape(-1, K, nK))
-                            for a in range(0, n, step)])
-    return 2.0 * (total - _dev_sq_sums(own)) / (K * (n - 1) * K)
+    With d_ik = e_ik - mean_k e_ik, sample i's squared deviations over all
+    columns z of S are sum_k d_ik^T (E^T E) d_ik = sum_k |R d_ik|^2 for
+    E = QR, less those over its own K columns. Taking d before any product,
+    and the form as a sum of squares, keeps nearby views' small spread from
+    cancelling against the similarities."""
+    V = E.reshape(-1, K, E.shape[1])
+    D = V - V.mean(axis=1, keepdims=True)
+    DR = D @ np.linalg.qr(E, mode="r").T
+    own = D @ V.transpose(0, 2, 1)
+    dev = np.einsum("ikr,ikr->i", DR, DR) - np.einsum("ikl,ikl->i", own, own)
+    # A sum of squares over the negatives; rounding may leave it just below 0.
+    return 2.0 * np.maximum(dev, 0.0) / (K * (len(V) - 1) * K)
 
 
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily, want_grad: bool):
-    """One pass over one S: alignment from the own blocks and epsilon from
-    the raw similarities, then S is turned in place into the negative
-    masses and (with want_grad) into the contrast weights W, so that the
-    cotangent is (W + W.T) @ E minus the alignment block sums."""
+    """One pass over row tiles of S = E E^T that hold whole samples.
+
+    Sample i's own block sums to |sum_k e_ik|^2, the alignment term. Each
+    tile becomes its negative masses P = exp(S[rows] / tau), own blocks
+    zeroed. The contrast weights are W = a * P for the row scale
+    a = 1 / (denominator * |S_i| * n*K), row-local since a tile holds all K
+    views of its samples, so the tile adds a * (P E) to its rows of the
+    cotangent and P^T (a * E) to all rows: (W + W^T) E without forming W.
+    """
     n, K = ds.n, fam.K
     nK = n * K
-    E, Et, cache, S, own = _similarities(params, ds, fam)
-    align = -own.sum() / (n * K * K)
-    eps = float(np.mean(_eps_per_sample(S, own))) if want_grad else None
-
-    S /= cfg.tau
-    np.exp(S, out=S)
-    ar = np.arange(n)
-    S.reshape(n, K, n, K)[ar, :, ar, :] = 0.0
+    E, cache = _embeddings(params, ds, fam)
+    Es = E / cfg.tau
     set_size = (n - 1) * K
-    gbar = S.sum(axis=1) / set_size                  # (nK,)
+    step = max(1, _TILE_BUDGET // (K * nK))       # samples per tile
+    gbar, denom = np.empty(nK), np.empty(nK)
+    cot = np.zeros_like(E) if want_grad else None
+    for a in range(0, n, step):
+        c = min(step, n - a)
+        rows = slice(a * K, (a + c) * K)
+        # Twice as fast here as against a contiguous E.T, and never syrk.
+        P = E[rows] @ Es.T
+        np.exp(P, out=P)
+        P.reshape(c, K, n, K)[np.arange(c), :, np.arange(a, a + c), :] = 0.0
+        gbar[rows] = g = P.sum(axis=1) / set_size
+        if cfg.version == "v2":
+            g = np.repeat(g.reshape(c, K).mean(axis=1), K)
+        denom[rows] = cfg.eps0 + g
+        if want_grad:
+            scale = (1.0 / (denom[rows] * (set_size * nK)))[:, None]
+            cot[rows] += scale * (P @ E)
+            cot += P.T @ (scale * E[rows])
+
+    block_sums = E.reshape(n, K, -1).sum(axis=1)
+    align = -float(np.einsum("im,im->", block_sums, block_sums)) / (n * K * K)
     per_sample_g = gbar.reshape(n, K)
-    ubar = per_sample_g.mean(axis=1)                 # (n,)
-    if cfg.version == "v1":
-        contrast = cfg.tau * float(np.mean(np.log(cfg.eps0 + gbar)))
-        denom_row = cfg.eps0 + gbar
-    else:
-        contrast = cfg.tau * float(np.mean(np.log(cfg.eps0 + ubar)))
-        denom_row = np.repeat(cfg.eps0 + ubar, K)
-    value = float(align + contrast)
+    value = float(align + cfg.tau * float(np.mean(np.log(denom))))
     if not want_grad:
         return value, None, per_sample_g, None
 
-    S *= (1.0 / (denom_row * (set_size * nK)))[:, None]
-    # (W + W.T) @ E from two (m, nK) products: W.T @ E is about 3x slower.
-    cot = (Et @ S + Et @ S.T).T
-    block_sums = E.reshape(n, K, -1).sum(axis=1)
     cot -= np.repeat(block_sums * (2.0 / (n * K * K)), K, axis=0)
     grad = encoder.backward_batch(params, cache, cot)
-    return value, grad, per_sample_g, eps
+    return value, grad, per_sample_g, float(np.mean(_consistency(E, K)))
 
 
 def oracle_F(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -210,11 +208,11 @@ def aug_consistency_eps(params, ds: Dataset, fam: AugmentationFamily, i: int) ->
     Zero when K = 1 or all perturbations coincide.
     """
     _check_index("sample", i, ds.n)
-    *_, S, own = _similarities(params, ds, fam)
-    return float(_eps_per_sample(S, own)[i])
+    E, _ = _embeddings(params, ds, fam)
+    return float(_consistency(E, fam.K)[i])
 
 
 def aug_consistency_eps_mean(params, ds: Dataset, fam: AugmentationFamily) -> float:
     """Mean of aug_consistency_eps over all samples (one shared embedding pass)."""
-    *_, S, own = _similarities(params, ds, fam)
-    return float(np.mean(_eps_per_sample(S, own)))
+    E, _ = _embeddings(params, ds, fam)
+    return float(np.mean(_consistency(E, fam.K)))

@@ -166,7 +166,7 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
                  ds: Dataset, fam: AugmentationFamily) -> _BatchStats:
     B = batch.B
     E, cache = encoder.encode_batch(params, batch_views(ds, fam, batch))
-    # Not the gemm form of objective._similarities, though faster at 2B = 128:
+    # Not the gemm form E @ ascontiguousarray(E.T), though faster at 2B = 128:
     # on OpenBLAS it differs from this syrk form in the last bit for most row
     # counts that are not multiples of 8, and trajectories are kept bitwise.
     S = E @ E.T

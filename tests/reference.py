@@ -18,9 +18,13 @@ package, as yardsticks for the code that replaced them.
   MinibatchSampler, and the two per-pair global losses that average to
   the enumeration oracle's value, with the g_exact they call from before
   it was read off the oracle's pass.
+- The augmentation-consistency diagnostic in exact rational arithmetic on
+  the float64 embeddings, straight from its definition, as the yardstick
+  for its rounding error when the views of a sample nearly coincide.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -499,3 +503,23 @@ def global_loss_v2(params, cfg: GlobalObjectiveConfig, i: int, aug_a: int, aug_b
     pos = float(E[0] @ E[1])
     gmean = np.mean([g_exact(params, cfg, i, k, ds, fam) for k in range(fam.K)])
     return -pos + cfg.tau * float(np.log(cfg.eps0 + gmean))
+
+
+def aug_consistency_eps_exact(params, ds: Dataset,
+                              fam: AugmentationFamily) -> list[Fraction]:
+    """Every sample's aug_consistency_eps, exact on the package's float64
+    embeddings: (1/K^2) sum_{k,k'} (1/|S_i|) sum_z (sim(e_ik, z) - sim(e_ik', z))^2
+    over the (n - 1) * K negative views z. For tiny instances only."""
+    E, _ = encoder.encode_batch(params, all_views(ds, fam))
+    n, K = ds.n, fam.K
+    rows = [[Fraction(float(x)) for x in row] for row in E]
+    S = [[sum((x * y for x, y in zip(u, v)), Fraction(0)) for v in rows]
+         for u in rows]
+    eps = []
+    for i in range(n):
+        own = range(i * K, (i + 1) * K)
+        negatives = [z for z in range(n * K) if z not in own]
+        total = sum(((S[k][z] - S[l][z]) ** 2 for k in own for l in own
+                     for z in negatives), Fraction(0))
+        eps.append(total / (K * K * len(negatives)))
+    return eps

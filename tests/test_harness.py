@@ -2,6 +2,7 @@
 and the bundled gradient checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,9 +139,17 @@ def test_every_config_key_sets_its_field():
     dict(metrics_format="parquet"),
     dict(sweep_batch_sizes=()),
     dict(sweep_seeds=()),
+    dict(data_seed=-1),
+    dict(aug_seed=-1),
+    dict(encoder_seed=-1),
+    dict(train_seed=-1),
+    dict(sweep_seeds=(1, -1)),
 ])
 def test_validate_config_rejects(bad):
-    with pytest.raises(ConfigError):
+    """The error names the dotted key of a field the case sets."""
+    keys = {f.name: f.metadata["key"] for f in fields(RunConfig)}
+    match = "|".join(re.escape(keys[name]) for name in bad)
+    with pytest.raises(ConfigError, match=match):
         validate_config(replace(RunConfig(), **bad))
 
 

@@ -1,19 +1,25 @@
-"""The fused enumeration kernel against the two-pass reference it replaced,
-and the record path that reads the consistency diagnostic off the oracle."""
+"""The tiled enumeration kernel against the two-pass reference it replaced,
+across tile boundaries and in bounded memory; the consistency diagnostic
+against exact rational arithmetic; and the record path that reads the
+diagnostic off the oracle."""
 
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gcobench import (RunConfig, aug_consistency_eps_mean, load_encoder,
-                      oracle_F, oracle_value, train)
+from gcobench import (RunConfig, aug_consistency_eps, aug_consistency_eps_mean,
+                      g_exact, load_encoder, oracle_F, oracle_value, train)
+from gcobench import objective
 from gcobench.embed_core import make_augmentation_family
 from gcobench.harness import generate_synthetic
 from gcobench.objective import VERSIONS
 
 import reference
-from conftest import make_instance
+from conftest import identical_instance, make_instance
 
 REL = 1e-12
 
@@ -49,7 +55,7 @@ def test_oracle_matches_reference(version, eps0, K, arch, n):
 
 
 def test_oracle_matches_reference_on_criterion_5_task():
-    """n*K = 512 with several row blocks in the epsilon pass."""
+    """n*K = 512, over several row tiles."""
     ds = generate_synthetic(256, 4, 4, 3.0, 7)
     fam = make_augmentation_family(4, 2, 0.5, 11)
     _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
@@ -61,6 +67,88 @@ def test_oracle_matches_reference_on_criterion_5_task():
     assert_rel_close(res.per_sample_g, per_sample_g)
     assert_rel_close(res.eps_sq_mean,
                      reference.aug_consistency_eps_mean(params, ds, fam))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 12), K=st.integers(1, 4),
+       version=st.sampled_from(VERSIONS), eps0=st.sampled_from([0.0, 0.5]),
+       arch=st.sampled_from(["linear", "one_hidden"]),
+       tau=st.floats(0.05, 1.0), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
+    """Tile budgets from one sample per tile to one tile for all, with
+    ragged last tiles, give the reference's oracle; the value-only path and
+    g_exact give the same bits as oracle_F."""
+    ds, fam, params, cfg = make_instance(n=n, K=K, version=version, eps0=eps0,
+                                         arch=arch, tau=tau, seed=seed,
+                                         aug_scale=0.4)
+    per_tile = data.draw(st.integers(1, n), label="samples per tile")
+    slack = data.draw(st.integers(0, K * n * K - 1), label="budget slack")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objective, "_TILE_BUDGET", per_tile * K * n * K + slack)
+        res = oracle_F(params, cfg, ds, fam)
+        value, grad, per_sample_g = reference._oracle_core(
+            params, cfg, ds, fam, want_grad=True)
+        assert abs(res.value - value) <= REL * max(1.0, abs(value))
+        assert_rel_close(res.grad, grad)
+        assert_rel_close(res.per_sample_g, per_sample_g)
+        assert res.eps_sq_mean >= 0.0
+        assert oracle_value(params, cfg, ds, fam) == res.value
+        for i in range(n):
+            for k in range(K):
+                assert g_exact(params, cfg, i, k, ds, fam) == res.per_sample_g[i, k]
+
+
+@pytest.mark.parametrize("aug_scale", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("n", [2, 6])
+def test_eps_matches_exact_rationals_at_small_spread(aug_scale, K, n):
+    """Nearly coincident views: their similarity spread is far below the
+    similarities, which a form that subtracts similarities loses to
+    cancellation."""
+    ds, fam, params, cfg = make_instance(n=n, K=K, seed=2 * n + K,
+                                         aug_scale=aug_scale)
+    exact = reference.aug_consistency_eps_exact(params, ds, fam)
+
+    def rel_err(got, want):
+        return abs(Fraction(got) - want) / want
+
+    for i in range(n):
+        got = aug_consistency_eps(params, ds, fam, i)
+        assert got >= 0.0
+        assert rel_err(got, exact[i]) <= REL
+    mean = sum(exact) / n
+    assert rel_err(aug_consistency_eps_mean(params, ds, fam), mean) <= REL
+    assert rel_err(oracle_F(params, cfg, ds, fam).eps_sq_mean, mean) <= REL
+
+
+@pytest.mark.parametrize("instance", [
+    make_instance(n=5, K=1, seed=4, aug_scale=0.4),
+    identical_instance(n=4, K=3),
+])
+def test_eps_exactly_zero_without_spread(instance):
+    ds, fam, params, cfg = instance
+    assert aug_consistency_eps_mean(params, ds, fam) == 0.0
+    assert oracle_F(params, cfg, ds, fam).eps_sq_mean == 0.0
+    assert all(aug_consistency_eps(params, ds, fam, i) == 0.0
+               for i in range(ds.n))
+
+
+def test_memory_linear_in_views():
+    """n*K = 4,000: S would take 122 MiB; the oracle and the diagnostic
+    stay far below it."""
+    ds = generate_synthetic(2000, 4, 4, 3.0, 7)
+    fam = make_augmentation_family(4, 2, 0.5, 11)
+    _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
+    for run in (lambda: oracle_F(params, cfg, ds, fam),
+                lambda: aug_consistency_eps_mean(params, ds, fam)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 SMALL = RunConfig(n=8, batch_size=4, steps=5, aug_scale=0.4)
