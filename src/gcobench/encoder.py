@@ -201,13 +201,16 @@ def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 def save_encoder(params: EncoderParams, path: str) -> None:
     """Header line with architecture and shapes, then one flat value per line."""
-    with create_text(path) as fh:
-        if params.architecture == "linear":
-            fh.write(f"linear {params.d_in} {params.m}\n")
-        else:
-            fh.write(f"one_hidden {params.d_in} {params.W1.shape[0]} {params.m}\n")
-        for v in flatten_params(params):
-            fh.write(repr(float(v)) + "\n")
+    try:
+        with create_text(path) as fh:
+            if params.architecture == "linear":
+                fh.write(f"linear {params.d_in} {params.m}\n")
+            else:
+                fh.write(f"one_hidden {params.d_in} {params.W1.shape[0]} {params.m}\n")
+            for v in flatten_params(params):
+                fh.write(repr(float(v)) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc
 
 
 def load_encoder(path: str) -> EncoderParams:

@@ -13,12 +13,18 @@ Version "v1" averages f over the augmentation draw outside the log; "v2" moves
 the augmentation average inside the log. The two coincide when K = 1.
 
 The exact oracle's time is quadratic in n*K, but its memory is linear: it
-walks the n*K x n*K similarity matrix S in row tiles and never holds it.
-The consistency diagnostic needs no S, only the m x m Gram matrix.
+walks the n*K x n*K similarity matrix S in row tiles, one thread per CPU,
+and never holds it. Its bits do not depend on the number of threads. The
+consistency diagnostic needs no S, only the m x m Gram matrix.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +136,21 @@ def _consistency(E: np.ndarray, K: int) -> np.ndarray:
     return 2.0 * np.maximum(dev, 0.0) / (K * (len(V) - 1) * K)
 
 
+# This process's tile pool (executor, workers), one worker per CPU, made on
+# first use. A forked child drops its copy, which has no threads behind it.
+_pool = []
+os.register_at_fork(after_in_child=_pool.clear)
+# Each worker's tile buffer: fresh tiles would pile up in its malloc arena.
+_local = threading.local()
+
+
+def _tile_pool() -> tuple[ThreadPoolExecutor, int]:
+    if not _pool:
+        workers = len(os.sched_getaffinity(0))
+        _pool.append((ThreadPoolExecutor(workers), workers))
+    return _pool[0]
+
+
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily, want_grad: bool):
     """One pass over row tiles of S = E E^T that hold whole samples.
@@ -140,6 +161,10 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     a = 1 / (denominator * |S_i| * n*K), row-local since a tile holds all K
     views of its samples, so the tile adds a * (P E) to its rows of the
     cotangent and P^T (a * E) to all rows: (W + W^T) E without forming W.
+
+    Tiles run on the pool under the caller's numpy error state, two per worker
+    in flight, and write only their rows of gbar and denom. The caller adds
+    their cotangent terms in tile order: the same bits on any worker count.
     """
     n, K = ds.n, fam.K
     nK = n * K
@@ -148,12 +173,15 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     set_size = (n - 1) * K
     step = max(1, _TILE_BUDGET // (K * nK))       # samples per tile
     gbar, denom = np.empty(nK), np.empty(nK)
-    cot = np.zeros_like(E) if want_grad else None
-    for a in range(0, n, step):
+
+    def tile(a: int):
         c = min(step, n - a)
         rows = slice(a * K, (a + c) * K)
+        buf = getattr(_local, "buf", None)
+        if buf is None or buf.size < c * K * nK:
+            buf = _local.buf = np.empty(c * K * nK)
         # Twice as fast here as against a contiguous E.T, and never syrk.
-        P = E[rows] @ Es.T
+        P = np.matmul(E[rows], Es.T, out=buf[:c * K * nK].reshape(c * K, nK))
         np.exp(P, out=P)
         P.reshape(c, K, n, K)[np.arange(c), :, np.arange(a, a + c), :] = 0.0
         gbar[rows] = g = P.sum(axis=1) / set_size
@@ -162,8 +190,23 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         denom[rows] = cfg.eps0 + g
         if want_grad:
             scale = (1.0 / (denom[rows] * (set_size * nK)))[:, None]
-            cot[rows] += scale * (P @ E)
-            cot += P.T @ (scale * E[rows])
+            return rows, scale * (P @ E), P.T @ (scale * E[rows])
+
+    pool, workers = _tile_pool()
+    pending = deque()
+    cot = np.zeros_like(E) if want_grad else None
+    try:
+        for a in range(0, n, step):
+            pending.append(pool.submit(contextvars.copy_context().run, tile, a))
+            while pending and (len(pending) == 2 * workers or a + step >= n):
+                terms = pending.popleft().result()
+                if want_grad:
+                    rows, own, other = terms
+                    cot[rows] += own
+                    cot += other
+    finally:
+        for left in pending:
+            left.cancel()
 
     block_sums = E.reshape(n, K, -1).sum(axis=1)
     align = -float(np.einsum("im,im->", block_sums, block_sums)) / (n * K * K)

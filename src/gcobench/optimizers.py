@@ -166,9 +166,10 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
                  ds: Dataset, fam: AugmentationFamily) -> _BatchStats:
     B = batch.B
     E, cache = encoder.encode_batch(params, batch_views(ds, fam, batch))
-    # Not the gemm form E @ ascontiguousarray(E.T), though faster at 2B = 128:
-    # on OpenBLAS it differs from this syrk form in the last bit for most row
-    # counts that are not multiples of 8, and trajectories are kept bitwise.
+    # Not the gemm form E @ ascontiguousarray(E.T): on OpenBLAS it differs from
+    # this syrk form in the last bit for most 2B not a multiple of 8. Its 21 us
+    # at 2B = 128 are not syrk's but numpy's mirror of the triangle at a 1 KiB
+    # row stride, hitting the same L1 sets every row (ROADMAP item 3).
     S = E @ E.T
     idx = batch.indices
     member = idx[:, None] != idx[None, :]            # (B, B) slot mask

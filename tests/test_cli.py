@@ -216,18 +216,27 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
     (["train", "encoder.init_scale=1e-200"], EXIT_NUMERIC,
      "numeric error: step 0: pre-normalization output collapsed (row 0, "
      "norm 0.000e+00)"),
+    (["train", "optimizer.steps=2", "checkpoint.path=MISSING"], EXIT_IO,
+     "i/o error: cannot write checkpoint to MISSING: "),
+    (["bimodal-train", "optimizer.steps=2", "checkpoint.path=MISSING"],
+     EXIT_IO, "i/o error: cannot write checkpoint to MISSING.image: "),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
-        "step-0-collapsed-embedding"])
+        "step-0-collapsed-embedding", "checkpoint-not-writable",
+        "bimodal-checkpoint-not-writable"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")
-    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
-    assert main(argv) == code
+    missing = str(tmp_path / "missing" / "x")
+
+    def fill(text):
+        return text.replace("CONFIG", str(cfg)).replace("MISSING", missing)
+
+    assert main([fill(a) for a in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert err.startswith(prefix.replace("CONFIG", str(cfg)))
+    assert err.startswith(fill(prefix))
 
 
 def test_parser_lists_all_subcommands():

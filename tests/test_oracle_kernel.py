@@ -1,9 +1,15 @@
 """The tiled enumeration kernel against the two-pass reference it replaced,
-across tile boundaries and in bounded memory; the consistency diagnostic
-against exact rational arithmetic; and the record path that reads the
-diagnostic off the oracle."""
+across tile boundaries and in bounded memory; its thread pool against the
+serial tile loop it replaced, bit for bit, across a fork and under the
+caller's numpy error state; the consistency diagnostic against exact
+rational arithmetic; and the record path that reads the diagnostic off the
+oracle."""
 
+import multiprocessing
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -97,6 +103,86 @@ def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
         for i in range(n):
             for k in range(K):
                 assert g_exact(params, cfg, i, k, ds, fam) == res.per_sample_g[i, k]
+
+
+@pytest.fixture(params=[1, 4], ids=["1-worker", "4-workers"])
+def workers(request, monkeypatch):
+    """The oracle's pool with the given worker count; four workers on fewer
+    CPUs, with a short switch interval, finish their tiles out of order."""
+    pool = ThreadPoolExecutor(request.param)
+    monkeypatch.setattr(objective, "_pool", [(pool, request.param)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("per_tile", [12, 5, 1],
+                         ids=["one-tile", "ragged-tiles", "sample-per-tile"])
+@pytest.mark.parametrize("version", VERSIONS)
+@pytest.mark.parametrize("eps0", [0.0, 0.5])
+def test_pool_gives_the_serial_bits(workers, per_tile, version, eps0,
+                                    monkeypatch):
+    """n = 12 in tiles of 12, 5 (5, 5, 2) or 1 sample(s): 12 tiles are more
+    than four workers hold in flight."""
+    ds, fam, params, cfg = make_instance(n=12, K=2, version=version,
+                                         eps0=eps0, seed=7, aug_scale=0.4)
+    budget = per_tile * fam.K * ds.n * fam.K
+    monkeypatch.setattr(objective, "_TILE_BUDGET", budget)
+    monkeypatch.setattr(reference, "_TILE_BUDGET", budget)
+    value, grad, per_sample_g, eps = reference.serial_tile_core(
+        params, cfg, ds, fam, want_grad=True)
+    value_only = reference.serial_tile_core(params, cfg, ds, fam,
+                                            want_grad=False)[0]
+    for _ in range(3):
+        res = oracle_F(params, cfg, ds, fam)
+        assert res.value == value
+        assert np.array_equal(res.grad, grad)
+        assert np.array_equal(res.per_sample_g, per_sample_g)
+        assert res.eps_sq_mean == eps
+        assert oracle_value(params, cfg, ds, fam) == value_only
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_pool_gives_the_serial_bits_on_criterion_5_task(workers, n):
+    """2 and 8 tiles of the default budget."""
+    ds = generate_synthetic(n, 4, 4, 3.0, 7)
+    fam = make_augmentation_family(4, 2, 0.5, 11)
+    _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
+    value, grad, per_sample_g, eps = reference.serial_tile_core(
+        params, cfg, ds, fam, want_grad=True)
+    res = oracle_F(params, cfg, ds, fam)
+    assert res.value == value and res.eps_sq_mean == eps
+    assert np.array_equal(res.grad, grad)
+    assert np.array_equal(res.per_sample_g, per_sample_g)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_runs_the_oracle(monkeypatch):
+    """A fork child inherits the parent's pool object but none of its
+    threads; it must build its own pool rather than wait on the copy."""
+    ds, fam, params, cfg = make_instance(n=12, K=2, seed=7)
+    monkeypatch.setattr(objective, "_TILE_BUDGET",
+                        2 * fam.K * ds.n * fam.K)      # 2 samples per tile
+    want = oracle_value(params, cfg, ds, fam)
+    assert objective._pool
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        got = child.apply_async(oracle_value, (params, cfg, ds, fam))
+        assert got.get(timeout=60) == want
+
+
+def test_tiles_raise_under_the_callers_error_state():
+    ds, fam, params, cfg = make_instance(n=12, K=2, tau=1e-3, seed=7)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        oracle_F(params, cfg, ds, fam)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = oracle_F(params, cfg, ds, fam)
+    assert not np.isfinite(res.value)
 
 
 @pytest.mark.parametrize("aug_scale", [1e-3, 1e-4, 1e-6])
