@@ -11,10 +11,13 @@ timing is enabled).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import time
+import warnings
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -433,27 +436,107 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+def _outcome(cell: RunConfig):
+    """(True, the cell's plateau), or (False, the error it raised)."""
+    try:
+        return True, plateau(train(cell))
+    except Exception as exc:        # reported by the sweep, in cell order
+        return False, exc
+
+
+def _send_outcome(conn, cell: RunConfig) -> None:
+    conn.send(_outcome(cell))
+
+
+def _forked_outcomes(cells, workers: int):
+    """Yield each cell's outcome in cell order. The cells run on up to
+    `workers` processes at a time, each forked from this one for its cell,
+    the largest batches first, so that free processes take the long cells
+    early. A fork starts with the caller's numpy error state and warning
+    filters. Closing the generator kills the cells still running.
+
+    Each cell sends its outcome on a pipe of its own, so a killed cell holds
+    no lock that another needs, and a cell that dies is seen as the end of
+    its pipe."""
+    import multiprocessing          # on first use: it costs set-up time
+    from multiprocessing.connection import wait
+    fork = multiprocessing.get_context("fork")
+    queue = sorted(range(len(cells)), key=lambda i: -cells[i].batch_size)
+    running, done = {}, {}
+    try:
+        for i in range(len(cells)):
+            while i not in done:
+                while queue and len(running) < workers:
+                    j = queue.pop(0)
+                    reader, writer = fork.Pipe(duplex=False)
+                    proc = fork.Process(target=_send_outcome,
+                                        args=(writer, cells[j]))
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns when a process with threads
+                        # forks: here OpenBLAS's, unless BLAS is pinned, and
+                        # the oracle's tile pool. OpenBLAS resets itself in
+                        # the child, and objective drops its pool there.
+                        warnings.filterwarnings(
+                            "ignore", r"This process \(pid=\d+\) is "
+                            "multi-threaded", DeprecationWarning)
+                        proc.start()
+                    writer.close()
+                    running[reader] = j, proc
+                for reader in wait(list(running)):
+                    j, proc = running.pop(reader)
+                    try:
+                        done[j] = reader.recv()
+                    except EOFError:        # the process died (a kill, say)
+                        pass
+                    reader.close()
+                    proc.join()
+                    done.setdefault(j, (False, ChildProcessError(
+                        f"sweep cell B={cells[j].batch_size} seed="
+                        f"{cells[j].train_seed}: its process exited with "
+                        f"code {proc.exitcode}")))
+            yield done.pop(i)
+    finally:
+        for reader, (_, proc) in running.items():
+            proc.kill()
+            proc.join()
+            reader.close()
+
+
 def sweep_batch_size(config: RunConfig) -> SweepResult:
     """Train one run per (sweep.batch_sizes, sweep.seeds) cell and aggregate
     the plateau gradient norms per batch size. Each seed shifts both the
     sampling stream and the encoder init so cells are independent
-    repetitions."""
+    repetitions.
+
+    Cells run side by side, each in a process forked for it, at most one
+    per CPU, and in this process when there is one CPU. Their outcomes are
+    read in cell order, so the result, the sweep file and the error of the
+    first failing cell do not depend on the process count."""
     validate_config(config)
     for b in config.sweep_batch_sizes:
         if config.sampling == "epoch_shuffle" and b > config.n:
             raise ConfigError(f"sweep batch size {b} exceeds dataset.n "
                               f"under epoch_shuffle")
+    cells = [replace(config, batch_size=b, train_seed=seed,
+                     encoder_seed=config.encoder_seed + seed,
+                     metrics_path="", checkpoint_path="", sweep_path="")
+             for b in config.sweep_batch_sizes for seed in config.sweep_seeds]
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    outcomes = (_forked_outcomes(cells, workers) if workers > 1
+                else (_outcome(cell) for cell in cells))
+    plateaus = []
+    with contextlib.closing(outcomes):
+        for cell, (ok, value) in zip(cells, outcomes):
+            if isinstance(value, NumericError):
+                raise NumericError(f"sweep cell B={cell.batch_size} "
+                                   f"seed={cell.train_seed}: {value}") from value
+            if not ok:
+                raise value
+            plateaus.append(value)
     rows = []
-    for b in config.sweep_batch_sizes:
-        values = []
-        for seed in config.sweep_seeds:
-            cell = replace(config, batch_size=b, train_seed=seed,
-                           encoder_seed=config.encoder_seed + seed,
-                           metrics_path="", checkpoint_path="", sweep_path="")
-            try:
-                values.append(plateau(train(cell)))
-            except NumericError as exc:
-                raise NumericError(f"sweep cell B={b} seed={seed}: {exc}") from exc
+    per_b = len(config.sweep_seeds)
+    for j, b in enumerate(config.sweep_batch_sizes):
+        values = plateaus[j * per_b:(j + 1) * per_b]
         arr = np.array(values)
         std = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
         rows.append(SweepRow(batch_size=int(b), plateau_mean=float(arr.mean()),

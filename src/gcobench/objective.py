@@ -109,6 +109,12 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
 # sweeps, and 2^17 was the fastest of 2^15..2^20 at n = 256, 1024 and 5000.
 # Tiles hold whole samples, so one sample's tile exceeds it if K * n*K does.
 _TILE_BUDGET = 1 << 17
+# The most multiply-adds a BLAS call may do. OpenBLAS runs a product of
+# fewer than 2^19 on the calling thread ((63 x 4)(4 x 2048) at CPU/wall 1.0)
+# and spreads a larger one over threads of its own ((64 x 4)(4 x 2048) at
+# 1.4-2), which then spin on the CPUs that the tile pool and a sweep's other
+# cells use.
+_BLAS_MADDS = (1 << 19) - 1
 
 
 def _embeddings(params, ds: Dataset, fam: AugmentationFamily):
@@ -142,6 +148,25 @@ _pool = []
 os.register_at_fork(after_in_child=_pool.clear)
 # Each worker's tile buffer: fresh tiles would pile up in its malloc arena.
 _local = threading.local()
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ B into out, in row chunks of at most _BLAS_MADDS multiply-adds
+    unless 12 rows exceed that.
+
+    Measured with OpenBLAS 0.3.31's SkylakeX kernels, a row keeps the bits
+    it has in the whole product when every chunk starts at a multiple of 12
+    rows and none is a single row, which numpy hands to gemv. So chunks
+    start at multiples of 12 rows, and a last row on its own joins the chunk
+    before it."""
+    rows = len(A)
+    step = 12 * max(1, _BLAS_MADDS // (12 * A.shape[1] * B.shape[1]))
+    cuts = list(range(0, rows, step))
+    if len(cuts) > 1 and rows - cuts[-1] == 1:
+        cuts.pop()
+    for a, b in zip(cuts, cuts[1:] + [rows]):
+        np.matmul(A[a:b], B, out=out[a:b])
+    return out
 
 
 def _tile_pool() -> tuple[ThreadPoolExecutor, int]:
@@ -181,7 +206,7 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         if buf is None or buf.size < c * K * nK:
             buf = _local.buf = np.empty(c * K * nK)
         # Twice as fast here as against a contiguous E.T, and never syrk.
-        P = np.matmul(E[rows], Es.T, out=buf[:c * K * nK].reshape(c * K, nK))
+        P = _matmul(E[rows], Es.T, buf[:c * K * nK].reshape(c * K, nK))
         np.exp(P, out=P)
         P.reshape(c, K, n, K)[np.arange(c), :, np.arange(a, a + c), :] = 0.0
         gbar[rows] = g = P.sum(axis=1) / set_size
@@ -190,7 +215,9 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         denom[rows] = cfg.eps0 + g
         if want_grad:
             scale = (1.0 / (denom[rows] * (set_size * nK)))[:, None]
-            return rows, scale * (P @ E), P.T @ (scale * E[rows])
+            own = _matmul(P, E, np.empty((c * K, E.shape[1])))
+            other = _matmul(P.T, scale * E[rows], np.empty_like(E))
+            return rows, scale * own, other
 
     pool, workers = _tile_pool()
     pending = deque()

@@ -135,6 +135,25 @@ def test_non_finite_inputs_exit_with_config_code(argv, capsys):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("override, code, line", [
+    ("objective.tau=0.002", EXIT_NUMERIC, "numeric error: sweep cell B=2 "
+     "seed=1: step 0: non-finite u_tracking_mse (inf)"),
+    ("aug.scale=1e308", EXIT_CONFIG, "config error: cannot build the run's "
+     "inputs: deltas must be finite"),
+], ids=["numeric", "config"])
+@pytest.mark.filterwarnings("error")
+def test_sweep_cell_failures_print_one_line(override, code, line, workers,
+                                            monkeypatch, capfd):
+    """The cells fail in the sweep's processes. capfd, unlike capsys, also
+    sees what those write to the standard streams."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(workers)))
+    assert main(["sweep", override, "dataset.n=8", "optimizer.steps=3",
+                 "sweep.batch_sizes=2,4", "sweep.seeds=1"]) == code
+    assert capfd.readouterr() == ("", line + "\n")
+
+
 def test_missing_config_file_exits_with_io_code(capsys):
     assert main(["train", "does-not-exist.cfg"]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err

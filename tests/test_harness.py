@@ -2,7 +2,10 @@
 and the bundled gradient checks."""
 
 import math
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from gcobench import (ConfigError, MetricsRecord, NumericError, RunConfig,
                       train, validate_config)
 from gcobench import encoder as encoder_module
 from gcobench import bimodal, harness
+from gcobench.embed_core import SAMPLING_MODES
 from dataclasses import fields, replace
 
 
@@ -350,6 +354,68 @@ def test_sweep_batch_size_aggregates(tmp_path):
     text = (tmp_path / "sweep.csv").read_text()
     assert text.splitlines()[0] == "batch_size,plateau_mean,plateau_std"
     assert len(text.splitlines()) == 3
+
+
+def cpus(monkeypatch, count: int) -> None:
+    """Make the machine look like it has `count` CPUs, so a sweep runs on
+    that many processes (or in this one for a single CPU)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("algo", ["simclr", "sogclr"])
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+def test_sweep_does_not_depend_on_the_worker_count(algo, sampling, tmp_path,
+                                                   monkeypatch):
+    config = replace(SMALL, n=12, steps=8, algo=algo, sampling=sampling,
+                     sweep_batch_sizes=(4, 6, 8), sweep_seeds=(1, 2))
+    results, files = [], []
+    for workers in (1, 2, 4):
+        cpus(monkeypatch, workers)
+        path = tmp_path / f"sweep-{workers}.csv"
+        results.append(sweep_batch_size(replace(config, sweep_path=str(path))))
+        files.append(path.read_bytes())
+        assert multiprocessing.active_children() == []
+    assert results[1] == results[0] and results[2] == results[0]
+    assert files[1] == files[0] and files[2] == files[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sweep_reports_the_first_failing_cell_in_cell_order(workers,
+                                                           monkeypatch):
+    """B=4 fails at once and B=2 later, so with several workers the later
+    cell in cell order fails first; B=3 would run for a minute unless the
+    error stops it."""
+    def train(cell):
+        time.sleep({2: 0.5, 3: 60.0, 4: 0.0}[cell.batch_size])
+        raise NumericError(f"cell {cell.batch_size} failed")
+
+    cpus(monkeypatch, workers)
+    monkeypatch.setattr(harness, "train", train)
+    start = time.monotonic()
+    with pytest.raises(NumericError, match=r"^sweep cell B=2 seed=1: cell 2 failed$"):
+        sweep_batch_size(replace(SMALL, sweep_batch_sizes=(2, 3, 4),
+                                 sweep_seeds=(1,)))
+    assert time.monotonic() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_stops_when_a_cell_process_dies(monkeypatch):
+    """B=2's process dies; B=4's would run for a minute unless stopped."""
+    def train(cell):
+        if cell.batch_size == 2:
+            os._exit(3)
+        time.sleep(60.0)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "train", train)
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError, match=r"^sweep cell B=2 seed=1: its "
+                       r"process exited with code 3$"):
+        sweep_batch_size(replace(SMALL, sweep_batch_sizes=(2, 4),
+                                 sweep_seeds=(1,)))
+    assert time.monotonic() - start < 30.0
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_batch_size_rejects_oversized_batches():

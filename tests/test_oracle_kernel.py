@@ -1,9 +1,9 @@
 """The tiled enumeration kernel against the two-pass reference it replaced,
-across tile boundaries and in bounded memory; its thread pool against the
-serial tile loop it replaced, bit for bit, across a fork and under the
-caller's numpy error state; the consistency diagnostic against exact
-rational arithmetic; and the record path that reads the diagnostic off the
-oracle."""
+across tile boundaries and in bounded memory; its thread pool and its
+chunked BLAS calls against the serial tile loop they replaced, bit for bit,
+across a fork and under the caller's numpy error state; the bound on each
+BLAS call; the consistency diagnostic against exact rational arithmetic;
+and the record path that reads the diagnostic off the oracle."""
 
 import multiprocessing
 import sys
@@ -83,8 +83,9 @@ def test_oracle_matches_reference_on_criterion_5_task():
        data=st.data())
 def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
     """Tile budgets from one sample per tile to one tile for all, with
-    ragged last tiles, give the reference's oracle; the value-only path and
-    g_exact give the same bits as oracle_F."""
+    ragged last tiles, give the reference's oracle, and with BLAS calls of
+    12 rows, the fewest, the serial tile loop's bits; the value-only path
+    and g_exact give the same bits as oracle_F."""
     ds, fam, params, cfg = make_instance(n=n, K=K, version=version, eps0=eps0,
                                          arch=arch, tau=tau, seed=seed,
                                          aug_scale=0.4)
@@ -92,7 +93,14 @@ def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
     slack = data.draw(st.integers(0, K * n * K - 1), label="budget slack")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(objective, "_TILE_BUDGET", per_tile * K * n * K + slack)
+        mp.setattr(reference, "_TILE_BUDGET", per_tile * K * n * K + slack)
+        mp.setattr(objective, "_BLAS_MADDS", 1)
         res = oracle_F(params, cfg, ds, fam)
+        serial = reference.serial_tile_core(params, cfg, ds, fam,
+                                            want_grad=True)
+        assert res.value == serial[0] and res.eps_sq_mean == serial[3]
+        assert np.array_equal(res.grad, serial[1])
+        assert np.array_equal(res.per_sample_g, serial[2])
         value, grad, per_sample_g = reference._oracle_core(
             params, cfg, ds, fam, want_grad=True)
         assert abs(res.value - value) <= REL * max(1.0, abs(value))
@@ -127,11 +135,13 @@ def workers(request, monkeypatch):
 def test_pool_gives_the_serial_bits(workers, per_tile, version, eps0,
                                     monkeypatch):
     """n = 12 in tiles of 12, 5 (5, 5, 2) or 1 sample(s): 12 tiles are more
-    than four workers hold in flight."""
+    than four workers hold in flight. BLAS calls take 12 rows, the fewest,
+    so the 24 rows of one tile and of P^T are two calls each."""
     ds, fam, params, cfg = make_instance(n=12, K=2, version=version,
                                          eps0=eps0, seed=7, aug_scale=0.4)
     budget = per_tile * fam.K * ds.n * fam.K
     monkeypatch.setattr(objective, "_TILE_BUDGET", budget)
+    monkeypatch.setattr(objective, "_BLAS_MADDS", 1)
     monkeypatch.setattr(reference, "_TILE_BUDGET", budget)
     value, grad, per_sample_g, eps = reference.serial_tile_core(
         params, cfg, ds, fam, want_grad=True)
@@ -158,6 +168,40 @@ def test_pool_gives_the_serial_bits_on_criterion_5_task(workers, n):
     assert res.value == value and res.eps_sq_mean == eps
     assert np.array_equal(res.grad, grad)
     assert np.array_equal(res.per_sample_g, per_sample_g)
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_last_row_joins_the_chunk_before_it(version, monkeypatch):
+    """n = 13 with K = 1 in one tile: each product has 13 rows, and in
+    12-row chunks its last row would go to gemv on its own."""
+    ds, fam, params, cfg = make_instance(n=13, K=1, version=version, seed=3)
+    monkeypatch.setattr(objective, "_BLAS_MADDS", 1)
+    value, grad, per_sample_g, eps = reference.serial_tile_core(
+        params, cfg, ds, fam, want_grad=True)
+    res = oracle_F(params, cfg, ds, fam)
+    assert res.value == value and res.eps_sq_mean == eps
+    assert np.array_equal(res.grad, grad)
+    assert np.array_equal(res.per_sample_g, per_sample_g)
+
+
+def test_blas_calls_stay_under_the_bound(monkeypatch):
+    """At n = 1024, K = 2 and m = 4 every tile product is 2^19
+    multiply-adds, so each is cut in two, and no BLAS call is large enough
+    for OpenBLAS to start threads of its own."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, out):
+        calls.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    ds = generate_synthetic(1024, 4, 4, 3.0, 7)
+    fam = make_augmentation_family(4, 2, 0.5, 11)
+    _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
+    monkeypatch.setattr(objective.np, "matmul", spy)
+    oracle_F(params, cfg, ds, fam)
+    tiles = 1024 // (objective._TILE_BUDGET // (2 * 2048))
+    assert len(calls) == 3 * 2 * tiles
+    assert max(calls) <= objective._BLAS_MADDS
 
 
 @pytest.mark.filterwarnings(
