@@ -1,14 +1,13 @@
 """Desk-scale contrastive objectives, their exact oracles, and the
 mini-batch optimizers that approximate them."""
 
-from .bimodal import (PairedDataset, TwowayOracleResult, load_paired,
-                      make_bimodal_state, save_paired, twoway_estimator,
-                      twoway_oracle_F, twoway_oracle_value, twoway_step,
-                      twoway_update_u)
+from .bimodal import (PairedDataset, TwowayOracleResult, make_bimodal_state,
+                      twoway_estimator, twoway_oracle_F, twoway_oracle_value,
+                      twoway_step, twoway_update_u)
 from .embed_core import (AugmentationFamily, Dataset, MiniBatch,
                          MinibatchSampler, all_views, apply_augmentation,
-                         batch_views, load_dataset, make_augmentation_family,
-                         sample_minibatch, save_dataset)
+                         batch_views, make_augmentation_family,
+                         sample_minibatch)
 from .encoder import (DegenerateEmbeddingError, EncoderParams, encode,
                       encode_batch, backward_batch, finite_diff_flat,
                       finite_diff_grad, flatten_params, init_encoder,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .embed_core import create_text
 from .objective import GlobalObjectiveConfig, OracleSizeError
 from .optimizers import NumericError, OptimizerState
 
@@ -42,7 +41,6 @@ class PairedDataset:
 
     image: np.ndarray
     text: np.ndarray
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         image = np.asarray(self.image, dtype=float)
@@ -55,8 +53,6 @@ class PairedDataset:
             raise ValueError("a paired dataset needs at least 2 pairs")
         if not (np.isfinite(image).all() and np.isfinite(text).all()):
             raise ValueError("paired entries must be finite")
-        if self.labels is not None and len(self.labels) != image.shape[0]:
-            raise ValueError("labels length must match the number of pairs")
         object.__setattr__(self, "image", image)
         object.__setattr__(self, "text", text)
 
@@ -248,42 +244,3 @@ def twoway_step(state: OptimizerState, params_image, params_text,
         _blend_u(state, idx, stats)
     w = state.apply(pair_to_flat(params_image, params_text), est)
     return flat_to_pair(params_image, params_text, w)
-
-
-def save_paired(ds: PairedDataset, path: str) -> None:
-    """One line per pair: image coordinates, text coordinates, and the label
-    when present, comma separated under a width header."""
-    labeled = ds.labels is not None
-    with create_text(path) as fh:
-        fh.write(f"paired {ds.n} {ds.image.shape[1]} {ds.text.shape[1]} "
-                 f"{int(labeled)}\n")
-        for i in range(ds.n):
-            cells = [repr(float(x)) for x in ds.image[i]]
-            cells += [repr(float(x)) for x in ds.text[i]]
-            if labeled:
-                cells.append(str(ds.labels[i]))
-            fh.write(",".join(cells) + "\n")
-
-
-def load_paired(path: str) -> PairedDataset:
-    """Read a file written by save_paired."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "paired":
-            raise ValueError(f"not a paired dataset file: {path}")
-        n, d_x, d_t, labeled = (int(x) for x in header[1:5])
-        image = np.zeros((n, d_x))
-        text = np.zeros((n, d_t))
-        labels = [] if labeled else None
-        for i in range(n):
-            cells = fh.readline().rstrip("\n").split(",")
-            expect = d_x + d_t + (1 if labeled else 0)
-            if len(cells) != expect:
-                raise ValueError(f"row {i} of {path} has {len(cells)} cells, "
-                                 f"expected {expect}")
-            image[i] = [float(c) for c in cells[:d_x]]
-            text[i] = [float(c) for c in cells[d_x:d_x + d_t]]
-            if labeled:
-                labels.append(int(cells[-1]))
-    return PairedDataset(image=image, text=text,
-                         labels=tuple(labels) if labeled else None)

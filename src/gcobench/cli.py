@@ -6,25 +6,22 @@ Every subcommand takes an optional config file (flat `key = value` lines,
     gcobench train run.cfg optimizer.eta=0.05 metrics.path=out.csv
     gcobench gradcheck
     gcobench sweep run.cfg sweep.path=sweep.csv
-    gcobench gen --out data.csv dataset.n=64
     gcobench bimodal-train run.cfg optimizer.steps=300
 
-Exit codes: 0 success, 1 gradient check failed, 2 bad configuration,
-3 numeric failure during a run, 4 file I/O failure.
+Exit codes: 0 success, 1 gradient check failed, 2 bad configuration
+(sizes that need more memory than there is included), 3 numeric failure
+during a run, 4 file I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import harness
-from .bimodal import save_paired
-from .embed_core import save_dataset
 from .encoder import DegenerateEmbeddingError
 from .harness import ConfigError, RunConfig
 from .optimizers import NumericError
@@ -43,16 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "their exact oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> None:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", nargs="?", default=None,
                         help="config file path (defaults apply when omitted)")
         sp.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                         help="config overrides, e.g. optimizer.eta=0.05")
-        return sp
 
-    gen = add("gen", "generate a synthetic dataset and write it to a file")
-    gen.add_argument("--out", required=True, help="output dataset path")
     add("train", "run one training loop and report first/last gradient norms")
     add("sweep", "train across batch sizes and seeds, report plateaus")
     add("gradcheck", "compare every analytic gradient against its oracle")
@@ -70,30 +64,6 @@ def _load(args) -> RunConfig:
         else:
             config = harness.load_config(args.config, base=config)
     return harness.apply_overrides(config, overrides)
-
-
-def _cmd_gen(args) -> int:
-    config = _load(args)
-    # Only the dataset fields matter here; optimizer settings are unused.
-    if config.n < 2:
-        raise ConfigError("dataset.n must be >= 2")
-    if config.d_in < 1 or config.d_text < 1:
-        raise ConfigError("dataset dimensions must be >= 1")
-    if not 0 <= config.separation < math.inf:
-        raise ConfigError("dataset.separation must be finite and >= 0")
-    if config.algo == "bimodal_sogclr":
-        ds = harness.generate_synthetic_pairs(config.n, config.d_in,
-                                              config.d_text, config.clusters,
-                                              config.separation,
-                                              config.data_seed)
-        save_paired(ds, args.out)
-        print(f"wrote {ds.n} pairs to {args.out}")
-    else:
-        ds = harness.generate_synthetic(config.n, config.d_in, config.clusters,
-                                        config.separation, config.data_seed)
-        save_dataset(ds, args.out)
-        print(f"wrote {ds.n} points to {args.out}")
-    return EXIT_OK
 
 
 def _print_run(records) -> None:
@@ -148,8 +118,6 @@ def main(argv=None) -> int:
         # A non-finite estimator, parameter vector, norm or record raises and
         # is reported on one line below; numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
-            if args.command == "gen":
-                return _cmd_gen(args)
             if args.command == "train":
                 return _cmd_train(args)
             if args.command == "bimodal-train":
@@ -159,6 +127,10 @@ def main(argv=None) -> int:
             return _cmd_gradcheck(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:      # numpy's message names the array's size
+        print(f"config error: the configured sizes need more memory than "
+              f"there is: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, DegenerateEmbeddingError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -16,10 +16,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Dataset:
-    """n input vectors of shared dimension, with optional integer labels."""
+    """n input vectors of shared dimension."""
 
     points: np.ndarray          # (n, d_in)
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -28,11 +27,6 @@ class Dataset:
         if not np.isfinite(pts).all():
             raise ValueError("dataset points must be finite")
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
-            if lab.shape != (pts.shape[0],):
-                raise ValueError("labels must have one entry per point")
-            object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
@@ -52,7 +46,6 @@ class AugmentationFamily:
     """
 
     deltas: np.ndarray          # (K, d_in)
-    seed: int = 0
 
     def __post_init__(self):
         d = np.asarray(self.deltas, dtype=float)
@@ -76,7 +69,7 @@ def make_augmentation_family(d_in: int, K: int = 4, scale: float = 0.1,
     """Draw K Gaussian perturbation vectors once from the given seed."""
     rng = np.random.default_rng(seed)
     deltas = scale * rng.standard_normal((K, d_in))
-    return AugmentationFamily(deltas=deltas, seed=seed)
+    return AugmentationFamily(deltas=deltas)
 
 
 def apply_augmentation(fam: AugmentationFamily, k: int, x: np.ndarray) -> np.ndarray:
@@ -212,38 +205,3 @@ def create_text(path: str, newline: str | None = None):
     except OSError:
         pass        # missing or not removable: open() creates, truncates or reports
     return open(path, "w", encoding="ascii", newline=newline)
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Write one comma-separated row per point, label appended as a trailing integer."""
-    with create_text(path) as fh:
-        for i in range(ds.n):
-            row = ",".join(repr(float(v)) for v in ds.points[i])
-            if ds.labels is not None:
-                row += f",{int(ds.labels[i])}"
-            fh.write(row + "\n")
-
-
-def load_dataset(path: str, labeled: bool | None = None) -> Dataset:
-    """Read a dataset written by save_dataset.
-
-    labeled=None autodetects a trailing integer label column.
-    """
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(line.split(","))
-    if not rows:
-        raise ValueError(f"no rows in dataset file {path}")
-    if labeled is None:
-        tail = rows[0][-1]
-        labeled = len(rows[0]) > 1 and ("." not in tail and "e" not in tail and "E" not in tail)
-    if labeled:
-        points = np.array([[float(v) for v in r[:-1]] for r in rows])
-        labels = np.array([int(r[-1]) for r in rows])
-        return Dataset(points=points, labels=labels)
-    points = np.array([[float(v) for v in r] for r in rows])
-    return Dataset(points=points)

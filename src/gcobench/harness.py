@@ -259,7 +259,7 @@ def _check_oracle_size(config: RunConfig, paired: bool) -> None:
 def generate_synthetic(n: int, d_in: int, clusters: int, separation: float,
                        seed: int) -> Dataset:
     """Cluster centers on a seeded sphere of radius `separation`, points =
-    center + unit-variance noise, labels assigned round robin."""
+    center + unit-variance noise, point i in cluster i mod clusters."""
     if clusters < 1:
         raise ConfigError("clusters must be >= 1")
     if n < clusters:
@@ -269,10 +269,8 @@ def generate_synthetic(n: int, d_in: int, clusters: int, separation: float,
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     centers = separation * raw / norms
-    labels = tuple(int(i % clusters) for i in range(n))
     noise = rng.standard_normal((n, d_in))
-    points = centers[np.array(labels)] + noise
-    return Dataset(points=points, labels=labels)
+    return Dataset(points=centers[np.arange(n) % clusters] + noise)
 
 
 def generate_synthetic_pairs(n: int, d_in: int, d_text: int, clusters: int,
@@ -284,8 +282,7 @@ def generate_synthetic_pairs(n: int, d_in: int, d_text: int, clusters: int,
     rng = np.random.default_rng(seed + 1)
     mix = rng.standard_normal((d_text, d_in)) / math.sqrt(d_in)
     text = ds.points @ mix.T + 0.1 * rng.standard_normal((n, d_text))
-    return PairedDataset(image=ds.points, text=text,
-                         labels=tuple(int(v) for v in ds.labels))
+    return PairedDataset(image=ds.points, text=text)
 
 
 def _objective_config(config: RunConfig) -> GlobalObjectiveConfig:

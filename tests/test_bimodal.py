@@ -8,9 +8,8 @@ import pytest
 
 from gcobench import (NumericError, OptimizerState, PairedDataset, encode,
                       encode_batch, backward_batch, finite_diff_flat,
-                      load_paired, make_bimodal_state, save_paired,
-                      twoway_estimator, twoway_oracle_F, twoway_oracle_value,
-                      twoway_step, twoway_update_u)
+                      make_bimodal_state, twoway_estimator, twoway_oracle_F,
+                      twoway_oracle_value, twoway_step, twoway_update_u)
 from gcobench.bimodal import (TWOWAY_ORACLE_GUARD, flat_to_pair, pair_to_flat)
 from gcobench.optimizers import ADAM_EPS
 
@@ -33,8 +32,7 @@ def brute_twoway_value(params_i, params_t, cfg, pds):
 
 
 def test_paired_dataset_validation():
-    pds = PairedDataset(image=np.eye(3), text=np.ones((3, 2)),
-                        labels=(0, 1, 0))
+    pds = PairedDataset(image=np.eye(3), text=np.ones((3, 2)))
     assert pds.n == 3
     with pytest.raises(ValueError):
         PairedDataset(image=np.eye(3), text=np.ones((2, 2)))
@@ -43,8 +41,6 @@ def test_paired_dataset_validation():
     with pytest.raises(ValueError):
         PairedDataset(image=np.array([[np.nan, 0.0], [0.0, 1.0]]),
                       text=np.eye(2))
-    with pytest.raises(ValueError):
-        PairedDataset(image=np.eye(2), text=np.eye(2), labels=(0,))
 
 
 def test_bimodal_state_validation():
@@ -232,29 +228,3 @@ def test_bimodal_state_adam_first_step_size():
     np.testing.assert_allclose(new, w - 0.05 * 2.0 / (2.0 + ADAM_EPS),
                                rtol=1e-12)
     assert state.adam_t == 1
-
-
-def test_paired_roundtrip(tmp_path):
-    pds, _, _, _ = make_paired_instance(n=4, seed=12)
-    path = str(tmp_path / "pairs.csv")
-    save_paired(pds, path)
-    back = load_paired(path)
-    np.testing.assert_array_equal(back.image, pds.image)
-    np.testing.assert_array_equal(back.text, pds.text)
-    assert back.labels == pds.labels
-
-    bare = PairedDataset(image=pds.image, text=pds.text)
-    save_paired(bare, path)
-    back = load_paired(path)
-    assert back.labels is None
-
-
-def test_load_paired_rejects_bad_files(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("dataset 2 2 2 0\n1,2,3,4\n5,6,7,8\n")
-    with pytest.raises(ValueError):
-        load_paired(str(bad))
-    short = tmp_path / "short.csv"
-    short.write_text("paired 2 2 2 0\n1,2,3\n1,2,3,4\n")
-    with pytest.raises(ValueError):
-        load_paired(str(short))

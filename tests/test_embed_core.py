@@ -8,22 +8,20 @@ import pytest
 
 from gcobench import (AugmentationFamily, Dataset, MiniBatch,
                       MinibatchSampler, all_views, apply_augmentation,
-                      batch_views, load_dataset, make_augmentation_family,
-                      sample_minibatch, save_dataset)
+                      batch_views, make_augmentation_family,
+                      sample_minibatch)
 from gcobench.embed_core import SAMPLING_MODES, IndexSampler, create_text
 
 import reference
 
 
 def test_dataset_properties_and_validation():
-    ds = Dataset(points=np.arange(6.0).reshape(3, 2), labels=[0, 1, 0])
+    ds = Dataset(points=np.arange(6.0).reshape(3, 2))
     assert ds.n == 3 and ds.d_in == 2
     with pytest.raises(ValueError):
         Dataset(points=np.ones((1, 2)))
     with pytest.raises(ValueError):
         Dataset(points=np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        Dataset(points=np.ones((3, 2)), labels=[0, 1])
 
 
 def test_augmentation_family_validation():
@@ -207,32 +205,3 @@ def test_create_text_keeps_a_file_it_may_not_write(tmp_path, monkeypatch):
         os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     assert path.read_text() == "new\n"
-
-
-def test_dataset_roundtrip_labeled(tmp_path):
-    pts = np.random.default_rng(6).standard_normal((4, 3))
-    ds = Dataset(points=pts, labels=[1, 0, 2, 1])
-    path = str(tmp_path / "data.csv")
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back.points, ds.points)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-def test_dataset_roundtrip_unlabeled(tmp_path):
-    pts = np.array([[1.0, 2.0], [3.0, -4.0]])
-    ds = Dataset(points=pts)
-    path = str(tmp_path / "data.csv")
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.labels is None
-    np.testing.assert_array_equal(back.points, pts)
-    forced = load_dataset(path, labeled=False)
-    np.testing.assert_array_equal(forced.points, pts)
-
-
-def test_load_dataset_empty_file_raises(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_dataset(str(path))

@@ -171,10 +171,19 @@ def test_validate_config_accepts_defaults():
                               sampling="with_replacement"))
 
 
+def assert_round_robin(points, clusters):
+    """Point i lies in cluster i mod clusters. At separation 1e4 points of
+    one cluster lie within 100 of each other and those of two lie farther
+    apart."""
+    near = np.linalg.norm(points[:, None] - points[None], axis=-1) < 100
+    i = np.arange(points.shape[0]) % clusters
+    np.testing.assert_array_equal(near, i[:, None] == i[None])
+
+
 def test_generate_synthetic_shapes_labels_determinism():
     ds = generate_synthetic(10, 3, 4, 2.0, seed=5)
     assert ds.points.shape == (10, 3)
-    np.testing.assert_array_equal(ds.labels, [i % 4 for i in range(10)])
+    assert_round_robin(generate_synthetic(10, 3, 4, 1e4, seed=5).points, 4)
     again = generate_synthetic(10, 3, 4, 2.0, seed=5)
     np.testing.assert_array_equal(ds.points, again.points)
     other = generate_synthetic(10, 3, 4, 2.0, seed=6)
@@ -187,7 +196,8 @@ def test_generate_synthetic_pairs_shapes():
     pds = generate_synthetic_pairs(8, 4, 6, 2, 3.0, seed=2)
     assert pds.image.shape == (8, 4)
     assert pds.text.shape == (8, 6)
-    assert pds.labels == tuple(i % 2 for i in range(8))
+    assert_round_robin(generate_synthetic_pairs(8, 4, 6, 2, 1e4,
+                                                seed=2).image, 2)
 
 
 def test_plateau_takes_final_tenth():
