@@ -215,19 +215,22 @@ def save_encoder(params: EncoderParams, path: str) -> None:
 
 def load_encoder(path: str) -> EncoderParams:
     """Read a checkpoint written by save_encoder."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        values = [float(line) for line in fh if line.strip()]
-    vec = np.array(values)
-    if not header:
-        raise ValueError(f"empty encoder checkpoint {path}")
-    if header[0] == "linear":
-        d_in, m = int(header[1]), int(header[2])
-        template = EncoderParams(architecture="linear", W1=np.zeros((m, d_in)))
-    elif header[0] == "one_hidden":
-        d_in, d_h, m = int(header[1]), int(header[2]), int(header[3])
-        template = EncoderParams(architecture="one_hidden",
-                                 W1=np.zeros((d_h, d_in)), W2=np.zeros((m, d_h)))
-    else:
-        raise ValueError(f"unknown architecture in checkpoint header: {header[0]!r}")
-    return unflatten_params(template, vec)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            lines = [line for line in fh if line.strip()]
+        if not header:
+            raise ValueError("empty file")
+        dims = [int(x) for x in header[1:]]
+        if header[0] == "linear":
+            d_in, m = dims
+            template = EncoderParams(architecture="linear", W1=np.zeros((m, d_in)))
+        elif header[0] == "one_hidden":
+            d_in, d_h, m = dims
+            template = EncoderParams(architecture="one_hidden",
+                                     W1=np.zeros((d_h, d_in)), W2=np.zeros((m, d_h)))
+        else:
+            raise ValueError(f"unknown architecture in header: {header[0]!r}")
+        return unflatten_params(template, np.array([float(v) for v in lines]))
+    except ValueError as exc:
+        raise ValueError(f"bad encoder checkpoint {path}: {exc}") from exc

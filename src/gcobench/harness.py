@@ -194,6 +194,15 @@ def resolved_tau(config: RunConfig) -> float:
 
 def validate_config(config: RunConfig) -> None:
     """Raise ConfigError on any invalid or inconsistent field."""
+    _validate_fields(config)
+    if config.sampling == "epoch_shuffle" and config.batch_size > config.n:
+        raise ConfigError("optimizer.batch_size must be <= dataset.n under "
+                          "epoch_shuffle")
+
+
+def _validate_fields(config: RunConfig) -> None:
+    """validate_config less its batch size check, which sweep (each cell
+    sets its own) and gradcheck (it draws at most dataset.n) do not need."""
     def need(cond: bool, msg: str) -> None:
         if not cond:
             raise ConfigError(msg)
@@ -232,8 +241,6 @@ def validate_config(config: RunConfig) -> None:
          f"optimizer.sampling must be one of {SAMPLING_MODES}")
     need(config.u_lag in U_LAG_MODES,
          f"optimizer.u_lag must be one of {U_LAG_MODES}")
-    need(config.sampling != "epoch_shuffle" or config.batch_size <= config.n,
-         "optimizer.batch_size must be <= dataset.n under epoch_shuffle")
     need(config.cadence >= 1, "metrics.cadence must be >= 1")
     need(config.metrics_format in METRICS_FORMATS,
          f"metrics.format must be one of {METRICS_FORMATS}")
@@ -509,7 +516,7 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
     per CPU, and in this process when there is one CPU. Their outcomes are
     read in cell order, so the result, the sweep file and the error of the
     first failing cell do not depend on the process count."""
-    validate_config(config)
+    _validate_fields(config)
     for b in config.sweep_batch_sizes:
         if config.sampling == "epoch_shuffle" and b > config.n:
             raise ConfigError(f"sweep batch size {b} exceeds dataset.n "
@@ -605,8 +612,8 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     estimator identities at 1e-8. Guards against instances with more than
     200 encoder parameters, where central differencing gets slow and noisy.
     """
-    validate_config(config)
-    # validate_config checked the oracle of the run's own objective; gradcheck
+    _validate_fields(config)
+    # _validate_fields checked the oracle of the run's own objective; gradcheck
     # runs both, so it checks the other one too.
     _check_oracle_size(config, paired=config.algo != "bimodal_sogclr")
     tau = config.tau if config.tau is not None else DEFAULT_TAU
@@ -715,16 +722,19 @@ def read_metrics(path: str, fmt: str = "csv"):
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        if fmt == "csv":
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(METRICS_COLUMNS):
-                raise ValueError(f"unexpected metrics header in {path}: {header}")
-            rows = reader
-        else:
-            rows = ([json.loads(line)[col] for col in METRICS_COLUMNS]
-                    for line in fh if line.strip())
-        for step, *values in rows:
-            records.append(MetricsRecord(int(step), *map(float, values)))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if fmt == "csv":
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != list(METRICS_COLUMNS):
+                    raise ValueError(f"unexpected header {header}")
+                rows = reader
+            else:
+                rows = ([json.loads(line)[col] for col in METRICS_COLUMNS]
+                        for line in fh if line.strip())
+            for step, *values in rows:
+                records.append(MetricsRecord(int(step), *map(float, values)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad metrics file {path}: {exc!r}") from exc
     return records

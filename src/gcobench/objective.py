@@ -14,7 +14,9 @@ the augmentation average inside the log. The two coincide when K = 1.
 
 The exact oracle's time is quadratic in n*K, but its memory is linear: it
 walks the n*K x n*K similarity matrix S in row tiles, one thread per CPU,
-and never holds it. Its bits do not depend on the number of threads. The
+and never holds it. Each tile's products are single BLAS calls on the
+thread that runs the tile, so its bits depend neither on the number of
+CPUs nor on the BLAS thread setting while K * n*K * m < 2^19. The
 consistency diagnostic needs no S, only the m x m Gram matrix.
 """
 
@@ -105,16 +107,15 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     return float(per_sample_g[i, aug_k])
 
 
-# Entries per row tile of S: 1 MiB of float64 stays in L2 across the tile's
-# sweeps, and 2^17 was the fastest of 2^15..2^20 at n = 256, 1024 and 5000.
-# Tiles hold whole samples, so one sample's tile exceeds it if K * n*K does.
-_TILE_BUDGET = 1 << 17
-# The most multiply-adds a BLAS call may do. OpenBLAS runs a product of
-# fewer than 2^19 on the calling thread ((63 x 4)(4 x 2048) at CPU/wall 1.0)
-# and spreads a larger one over threads of its own ((64 x 4)(4 x 2048) at
-# 1.4-2), which then spin on the CPUs that the tile pool and a sweep's other
-# cells use.
-_BLAS_MADDS = (1 << 19) - 1
+# The most multiply-adds in each of a row tile's three products,
+# E[rows] Es^T, P E and P^T (a * E), at K*n*K*m per sample. OpenBLAS runs a
+# product of fewer than 2^19 on the calling thread ((63 x 4)(4 x 2048) at
+# CPU/wall 1.0) and splits a larger one over threads of its own (1.4-2 at
+# 64 rows), which spin on the CPUs the tile pool and a sweep's other cells
+# use and change the bits. At m = 4 a tile of S is about 1 MiB and stays in
+# L2 (2^17 entries was the fastest of 2^15..2^20 at n = 256, 1024 and 5000).
+# Tiles hold whole samples, so one sample's tile exceeds the cap if K*n*K*m does.
+_TILE_MADDS = (1 << 19) - 1
 
 
 def _embeddings(params, ds: Dataset, fam: AugmentationFamily):
@@ -150,25 +151,6 @@ os.register_at_fork(after_in_child=_pool.clear)
 _local = threading.local()
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A @ B into out, in row chunks of at most _BLAS_MADDS multiply-adds
-    unless 12 rows exceed that.
-
-    Measured with OpenBLAS 0.3.31's SkylakeX kernels, a row keeps the bits
-    it has in the whole product when every chunk starts at a multiple of 12
-    rows and none is a single row, which numpy hands to gemv. So chunks
-    start at multiples of 12 rows, and a last row on its own joins the chunk
-    before it."""
-    rows = len(A)
-    step = 12 * max(1, _BLAS_MADDS // (12 * A.shape[1] * B.shape[1]))
-    cuts = list(range(0, rows, step))
-    if len(cuts) > 1 and rows - cuts[-1] == 1:
-        cuts.pop()
-    for a, b in zip(cuts, cuts[1:] + [rows]):
-        np.matmul(A[a:b], B, out=out[a:b])
-    return out
-
-
 def _tile_pool() -> tuple[ThreadPoolExecutor, int]:
     if not _pool:
         workers = len(os.sched_getaffinity(0))
@@ -178,7 +160,9 @@ def _tile_pool() -> tuple[ThreadPoolExecutor, int]:
 
 def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily, want_grad: bool):
-    """One pass over row tiles of S = E E^T that hold whole samples.
+    """One pass over row tiles of S = E E^T that hold whole samples, as many
+    as keep each of the tile's three products one BLAS call of at most
+    _TILE_MADDS multiply-adds.
 
     Sample i's own block sums to |sum_k e_ik|^2, the alignment term. Each
     tile becomes its negative masses P = exp(S[rows] / tau), own blocks
@@ -196,7 +180,7 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     E, cache = _embeddings(params, ds, fam)
     Es = E / cfg.tau
     set_size = (n - 1) * K
-    step = max(1, _TILE_BUDGET // (K * nK))       # samples per tile
+    step = max(1, _TILE_MADDS // (K * nK * E.shape[1]))  # samples per tile
     gbar, denom = np.empty(nK), np.empty(nK)
 
     def tile(a: int):
@@ -206,7 +190,7 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         if buf is None or buf.size < c * K * nK:
             buf = _local.buf = np.empty(c * K * nK)
         # Twice as fast here as against a contiguous E.T, and never syrk.
-        P = _matmul(E[rows], Es.T, buf[:c * K * nK].reshape(c * K, nK))
+        P = np.matmul(E[rows], Es.T, out=buf[:c * K * nK].reshape(c * K, nK))
         np.exp(P, out=P)
         P.reshape(c, K, n, K)[np.arange(c), :, np.arange(a, a + c), :] = 0.0
         gbar[rows] = g = P.sum(axis=1) / set_size
@@ -215,8 +199,8 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         denom[rows] = cfg.eps0 + g
         if want_grad:
             scale = (1.0 / (denom[rows] * (set_size * nK)))[:, None]
-            own = _matmul(P, E, np.empty((c * K, E.shape[1])))
-            other = _matmul(P.T, scale * E[rows], np.empty_like(E))
+            own = np.matmul(P, E)
+            other = np.matmul(P.T, scale * E[rows])
             return rows, scale * own, other
 
     pool, workers = _tile_pool()

@@ -45,24 +45,29 @@ def test_bimodal_train_subcommand(capsys):
 
 
 def test_sweep_subcommand(tmp_path, capsys):
+    """The second run's default optimizer.batch_size exceeds dataset.n; the
+    sweep reads only its own batch sizes."""
     path = str(tmp_path / "sweep.csv")
-    code = main(["sweep", "dataset.n=8", "optimizer.steps=6",
-                 "sweep.batch_sizes=2,4", "sweep.seeds=1",
-                 f"sweep.path={path}"])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "B=2:" in out and "B=4:" in out
+    for argv in (["dataset.n=8", "optimizer.steps=6", f"sweep.path={path}"],
+                 ["dataset.n=4", "optimizer.steps=5"]):
+        code = main(["sweep", "sweep.batch_sizes=2,4", "sweep.seeds=1", *argv])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "B=2:" in out and "B=4:" in out
     assert (tmp_path / "sweep.csv").exists()
 
 
 def test_gradcheck_subcommand(capsys):
-    code = main(["gradcheck", "dataset.n=5", "dataset.d_in=4",
-                 "optimizer.batch_size=4", "encoder.m=3",
-                 "dataset.d_text=3"])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 7
-    assert "all gradient checks passed" in out
+    """The second run's default optimizer.batch_size exceeds dataset.n;
+    gradcheck draws at most dataset.n slots."""
+    for argv in (["dataset.n=5", "dataset.d_in=4", "optimizer.batch_size=4",
+                  "encoder.m=3", "dataset.d_text=3"],
+                 ["dataset.n=4"]):
+        code = main(["gradcheck", *argv])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7
+        assert "all gradient checks passed" in out
 
 
 def test_unknown_key_exits_with_config_code(capsys):

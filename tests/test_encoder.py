@@ -1,6 +1,8 @@
 """Encoder forward passes, hand-coded backward passes, and the
 finite-difference checker that anchors every gradient test."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,11 +140,12 @@ def test_encoder_checkpoint_roundtrip(arch, tmp_path):
 
 
 def test_load_encoder_rejects_bad_files(tmp_path):
+    """Each error names the file."""
     bad = tmp_path / "bad.txt"
-    bad.write_text("resnet 3 4\n0.0\n")
-    with pytest.raises(ValueError):
-        load_encoder(str(bad))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        load_encoder(str(empty))
+    for text in ("resnet 3 4\n0.0\n",              # unknown architecture
+                 "",                                # empty file
+                 "linear 4\n0.0\n",                 # header without sizes
+                 "linear 4 3\n" + "0.5\n" * 11):    # one value short
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_encoder(str(bad))

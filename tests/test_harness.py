@@ -347,9 +347,21 @@ def test_metrics_empty_and_errors(tmp_path):
     with pytest.raises(OSError):
         emit_metrics([], str(tmp_path / "missing" / "m.csv"), "csv")
     bad = tmp_path / "bad.csv"
-    bad.write_text("step,foo\n1,2\n")
-    with pytest.raises(ValueError):
-        read_metrics(str(bad), "csv")
+    for text in (b"step,foo\n1,2\n", b"st\xe9p\n"):     # header, not ASCII
+        bad.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            read_metrics(str(bad), "csv")
+    recs = [MetricsRecord(0, *[0.5] * (len(fields(MetricsRecord)) - 1))]
+    emit_metrics(recs, path, "csv")
+    with open(path, "a") as fh:                 # a ragged row
+        fh.write("1,0.5\n")
+    with pytest.raises(ValueError, match=re.escape(path)):
+        read_metrics(path, "csv")
+    emit_metrics(recs, jl, "jsonl")
+    with open(jl, "a") as fh:                   # a row without its columns
+        fh.write('{"step": 1}\n')
+    with pytest.raises(ValueError, match=re.escape(jl)):
+        read_metrics(jl, "jsonl")
 
 
 def test_sweep_batch_size_aggregates(tmp_path):

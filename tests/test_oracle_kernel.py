@@ -1,11 +1,14 @@
 """The tiled enumeration kernel against the two-pass reference it replaced,
-across tile boundaries and in bounded memory; its thread pool and its
-chunked BLAS calls against the serial tile loop they replaced, bit for bit,
-across a fork and under the caller's numpy error state; the bound on each
-BLAS call; the consistency diagnostic against exact rational arithmetic;
-and the record path that reads the diagnostic off the oracle."""
+across tile boundaries and in bounded memory; its thread pool against the
+serial tile loop it replaced, bit for bit, across a fork and under the
+caller's numpy error state; the bound on each BLAS call, and the same bits
+under any BLAS thread setting; the consistency diagnostic against exact
+rational arithmetic; and the record path that reads the diagnostic off the
+oracle."""
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -82,19 +85,18 @@ def test_oracle_matches_reference_on_criterion_5_task():
        tau=st.floats(0.05, 1.0), seed=st.integers(0, 10_000),
        data=st.data())
 def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
-    """Tile budgets from one sample per tile to one tile for all, with
-    ragged last tiles, give the reference's oracle, and with BLAS calls of
-    12 rows, the fewest, the serial tile loop's bits; the value-only path
-    and g_exact give the same bits as oracle_F."""
+    """Tile sizes from one sample per tile to one tile for all, with ragged
+    last tiles, give the reference's oracle and the serial tile loop's bits;
+    the value-only path and g_exact give the same bits as oracle_F."""
     ds, fam, params, cfg = make_instance(n=n, K=K, version=version, eps0=eps0,
                                          arch=arch, tau=tau, seed=seed,
                                          aug_scale=0.4)
     per_tile = data.draw(st.integers(1, n), label="samples per tile")
     slack = data.draw(st.integers(0, K * n * K - 1), label="budget slack")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(objective, "_TILE_BUDGET", per_tile * K * n * K + slack)
-        mp.setattr(reference, "_TILE_BUDGET", per_tile * K * n * K + slack)
-        mp.setattr(objective, "_BLAS_MADDS", 1)
+        budget = per_tile * K * n * K + slack
+        mp.setattr(objective, "_TILE_MADDS", budget * params.m)
+        mp.setattr(reference, "_TILE_BUDGET", budget)
         res = oracle_F(params, cfg, ds, fam)
         serial = reference.serial_tile_core(params, cfg, ds, fam,
                                             want_grad=True)
@@ -135,13 +137,11 @@ def workers(request, monkeypatch):
 def test_pool_gives_the_serial_bits(workers, per_tile, version, eps0,
                                     monkeypatch):
     """n = 12 in tiles of 12, 5 (5, 5, 2) or 1 sample(s): 12 tiles are more
-    than four workers hold in flight. BLAS calls take 12 rows, the fewest,
-    so the 24 rows of one tile and of P^T are two calls each."""
+    than four workers hold in flight."""
     ds, fam, params, cfg = make_instance(n=12, K=2, version=version,
                                          eps0=eps0, seed=7, aug_scale=0.4)
     budget = per_tile * fam.K * ds.n * fam.K
-    monkeypatch.setattr(objective, "_TILE_BUDGET", budget)
-    monkeypatch.setattr(objective, "_BLAS_MADDS", 1)
+    monkeypatch.setattr(objective, "_TILE_MADDS", budget * params.m)
     monkeypatch.setattr(reference, "_TILE_BUDGET", budget)
     value, grad, per_sample_g, eps = reference.serial_tile_core(
         params, cfg, ds, fam, want_grad=True)
@@ -157,11 +157,15 @@ def test_pool_gives_the_serial_bits(workers, per_tile, version, eps0,
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_pool_gives_the_serial_bits_on_criterion_5_task(workers, n):
-    """2 and 8 tiles of the default budget."""
+def test_pool_gives_the_serial_bits_on_criterion_5_task(workers, n,
+                                                        monkeypatch):
+    """Tiles of the default size: 127 + 127 + 2 samples at n = 256, and 33
+    tiles of 31 and a last one of 1 at n = 1024."""
     ds = generate_synthetic(n, 4, 4, 3.0, 7)
     fam = make_augmentation_family(4, 2, 0.5, 11)
     _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
+    monkeypatch.setattr(reference, "_TILE_BUDGET",
+                        objective._TILE_MADDS // params.m)
     value, grad, per_sample_g, eps = reference.serial_tile_core(
         params, cfg, ds, fam, want_grad=True)
     res = oracle_F(params, cfg, ds, fam)
@@ -170,38 +174,60 @@ def test_pool_gives_the_serial_bits_on_criterion_5_task(workers, n):
     assert np.array_equal(res.per_sample_g, per_sample_g)
 
 
-@pytest.mark.parametrize("version", VERSIONS)
-def test_last_row_joins_the_chunk_before_it(version, monkeypatch):
-    """n = 13 with K = 1 in one tile: each product has 13 rows, and in
-    12-row chunks its last row would go to gemv on its own."""
-    ds, fam, params, cfg = make_instance(n=13, K=1, version=version, seed=3)
-    monkeypatch.setattr(objective, "_BLAS_MADDS", 1)
-    value, grad, per_sample_g, eps = reference.serial_tile_core(
-        params, cfg, ds, fam, want_grad=True)
-    res = oracle_F(params, cfg, ds, fam)
-    assert res.value == value and res.eps_sq_mean == eps
-    assert np.array_equal(res.grad, grad)
-    assert np.array_equal(res.per_sample_g, per_sample_g)
-
-
-def test_blas_calls_stay_under_the_bound(monkeypatch):
-    """At n = 1024, K = 2 and m = 4 every tile product is 2^19
-    multiply-adds, so each is cut in two, and no BLAS call is large enough
-    for OpenBLAS to start threads of its own."""
+@pytest.mark.parametrize("n, K, m, arch", [(1024, 2, 4, "linear"),
+                                           (2500, 3, 8, "one_hidden")],
+                         ids=["n1024-K2-m4", "n2500-K3-m8"])
+def test_blas_calls_stay_under_the_bound(n, K, m, arch, monkeypatch):
+    """Each tile product is one np.matmul call, too small for OpenBLAS to
+    start threads of its own: 31 samples a tile at n = 1024, K = 2, m = 4,
+    and 2 at n = 2500, K = 3, m = 8."""
     calls, matmul = [], np.matmul
 
-    def spy(a, b, out):
+    def spy(a, b, out=None):
         calls.append(a.shape[0] * a.shape[1] * b.shape[1])
         return matmul(a, b, out=out)
 
-    ds = generate_synthetic(1024, 4, 4, 3.0, 7)
-    fam = make_augmentation_family(4, 2, 0.5, 11)
-    _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
+    ds = generate_synthetic(n, 4, 4, 3.0, 7)
+    fam = make_augmentation_family(4, K, 0.5, 11)
+    _, _, params, cfg = make_instance(d_in=4, m=m, arch=arch, tau=0.2, seed=5)
     monkeypatch.setattr(objective.np, "matmul", spy)
     oracle_F(params, cfg, ds, fam)
-    tiles = 1024 // (objective._TILE_BUDGET // (2 * 2048))
-    assert len(calls) == 3 * 2 * tiles
-    assert max(calls) <= objective._BLAS_MADDS
+    per_tile = objective._TILE_MADDS // (K * n * K * m)
+    assert len(calls) == 3 * -(-n // per_tile)
+    assert max(calls) <= objective._TILE_MADDS
+
+
+# One oracle_F at the instance of the bound test above that a 12-row BLAS
+# call would exceed; prints a hash of the bytes of all four outputs.
+_ORACLE_HASH = """
+import hashlib
+import numpy as np
+from gcobench import make_augmentation_family, oracle_F
+from gcobench.harness import generate_synthetic
+from conftest import make_instance
+ds = generate_synthetic(2500, 4, 4, 3.0, 7)
+fam = make_augmentation_family(4, 3, 0.5, 11)
+_, _, params, cfg = make_instance(d_in=4, m=8, arch="one_hidden", tau=0.2,
+                                  seed=5)
+res = oracle_F(params, cfg, ds, fam)
+out = [res.grad, res.per_sample_g, np.array([res.value, res.eps_sq_mean])]
+print(hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest())
+"""
+
+
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    """The same bytes with BLAS on one thread and on two."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here,
+                            os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _ORACLE_HASH], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.filterwarnings(
@@ -210,8 +236,8 @@ def test_forked_child_runs_the_oracle(monkeypatch):
     """A fork child inherits the parent's pool object but none of its
     threads; it must build its own pool rather than wait on the copy."""
     ds, fam, params, cfg = make_instance(n=12, K=2, seed=7)
-    monkeypatch.setattr(objective, "_TILE_BUDGET",
-                        2 * fam.K * ds.n * fam.K)      # 2 samples per tile
+    monkeypatch.setattr(objective, "_TILE_MADDS",      # 2 samples per tile
+                        2 * fam.K * ds.n * fam.K * params.m)
     want = oracle_value(params, cfg, ds, fam)
     assert objective._pool
     with multiprocessing.get_context("fork").Pool(1) as child:
