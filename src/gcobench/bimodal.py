@@ -116,7 +116,8 @@ def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
     EI, cache_i = encoder.encode_batch(params_image, X_image)
     ET, cache_t = encoder.encode_batch(params_text, X_text)
     S = EI @ ET.T
-    expS = np.exp(S / cfg.tau)
+    expS = S / cfg.tau
+    np.exp(expS, out=expS)
     return _PairStats(EI=EI, ET=ET, cache_image=cache_i, cache_text=cache_t,
                       S=S, expS=expS,
                       g_image=expS.mean(axis=1), g_text=expS.mean(axis=0))

@@ -16,6 +16,7 @@ during a run, 4 file I/O failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -58,7 +59,7 @@ def _load(args) -> RunConfig:
     config = RunConfig()
     overrides = list(args.overrides)
     if args.config is not None:
-        if "=" in args.config:
+        if "=" in args.config and not os.path.isfile(args.config):
             # No config file given; the first positional is already an override.
             overrides.insert(0, args.config)
         else:

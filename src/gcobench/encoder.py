@@ -169,25 +169,27 @@ def encode(params: EncoderParams, x: np.ndarray) -> np.ndarray:
 
 
 def _central_diff(f_flat, x0: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of a scalar function of a flat vector."""
+    """Central differences of a function of a flat vector. A scalar function
+    gives a vector; one that returns a 1-D array gives a column per output."""
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    grad = np.zeros_like(x0)
+    rows = []
     for j in range(x0.shape[0]):
         xp = x0.copy()
         xp[j] += h
-        fp = float(f_flat(xp))
+        fp = np.asarray(f_flat(xp), dtype=float)
         xm = x0.copy()
         xm[j] -= h
-        fm = float(f_flat(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        fm = np.asarray(f_flat(xm), dtype=float)
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise ValueError(f"non-finite function value at coordinate {j}")
-        grad[j] = (fp - fm) / (2.0 * h)
-    return grad
+        rows.append((fp - fm) / (2.0 * h))
+    return np.array(rows)
 
 
 def finite_diff_grad(f, params: EncoderParams, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the encoder params."""
+    """Central-difference gradient of a function of the encoder params: a
+    column per output if f returns a 1-D array."""
     x0 = flatten_params(params)
     return _central_diff(lambda x: f(unflatten_params(params, x)), x0, h)
 

@@ -32,7 +32,7 @@ from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
 from .objective import (ORACLE_GUARD, VERSIONS, GlobalObjectiveConfig,
-                        oracle_F, oracle_value)
+                        _oracle_values, oracle_F, oracle_value)
 from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
                          make_simclr_state, make_sogclr_state,
                          simclr_batch_loss, simclr_estimator, simclr_step,
@@ -629,14 +629,25 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
 
     checks = []
 
-    # Exact oracles against central differences, both versions.
-    for version in VERSIONS:
-        cfg_v = GlobalObjectiveConfig(tau=tau, eps0=config.eps0, version=version)
-        res = oracle_F(params, cfg_v, ds, fam)
-        checks.append(_fd_check(f"oracle_{version}_grad", res.grad,
-                                finite_diff_grad,
-                                lambda p: oracle_value(p, cfg_v, ds, fam),
-                                params))
+    # Exact oracles against central differences, both versions read off one
+    # value pass per difference point.
+    cfgs = [GlobalObjectiveConfig(tau=tau, eps0=config.eps0, version=version)
+            for version in VERSIONS]
+    grads = [oracle_F(params, cfg_v, ds, fam).grad for cfg_v in cfgs]
+    try:
+        fd = finite_diff_grad(lambda p: _oracle_values(p, cfgs, ds, fam),
+                              params)
+    except ValueError:
+        # Raise as one sweep per version would: at the first version's first
+        # non-finite coordinate.
+        for cfg_v, grad in zip(cfgs, grads):
+            _fd_check(f"oracle_{cfg_v.version}_grad", grad, finite_diff_grad,
+                      lambda p: oracle_value(p, cfg_v, ds, fam), params)
+        raise
+    for cfg_v, grad, column in zip(cfgs, grads, fd.T):
+        checks.append(GradcheckResult(name=f"oracle_{cfg_v.version}_grad",
+                                      rel_err=_rel_err(grad, column),
+                                      tol=FD_TOL))
 
     # Two-way oracle against central differences over both encoders jointly.
     cfg_bi = GlobalObjectiveConfig(tau=tau_bi, eps0=config.eps0)

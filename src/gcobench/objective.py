@@ -103,8 +103,8 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     entry [i, aug_k] of the oracle's per_sample_g, under the oracle's guard."""
     _check_index("sample", i, ds.n)
     _check_index("augmentation", aug_k, fam.K)
-    *_, per_sample_g, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
-    return float(per_sample_g[i, aug_k])
+    _, gbar, _, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
+    return float(gbar[i * fam.K + aug_k])
 
 
 # The most multiply-adds in each of a row tile's three products,
@@ -172,8 +172,12 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     cotangent and P^T (a * E) to all rows: (W + W^T) E without forming W.
 
     Tiles run on the pool under the caller's numpy error state, two per worker
-    in flight, and write only their rows of gbar and denom. The caller adds
-    their cotangent terms in tile order: the same bits on any worker count.
+    in flight, and write only their rows of gbar. The caller adds their
+    cotangent terms in tile order: the same bits on any worker count.
+
+    Returns the alignment term, gbar (n*K,), and with want_grad the gradient
+    and the mean consistency diagnostic. Neither align nor gbar depends on
+    the version or eps0, so one value-only pass serves every _value of a tau.
     """
     n, K = ds.n, fam.K
     nK = n * K
@@ -181,7 +185,7 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     Es = E / cfg.tau
     set_size = (n - 1) * K
     step = max(1, _TILE_MADDS // (K * nK * E.shape[1]))  # samples per tile
-    gbar, denom = np.empty(nK), np.empty(nK)
+    gbar = np.empty(nK)
 
     def tile(a: int):
         c = min(step, n - a)
@@ -194,11 +198,8 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
         np.exp(P, out=P)
         P.reshape(c, K, n, K)[np.arange(c), :, np.arange(a, a + c), :] = 0.0
         gbar[rows] = g = P.sum(axis=1) / set_size
-        if cfg.version == "v2":
-            g = np.repeat(g.reshape(c, K).mean(axis=1), K)
-        denom[rows] = cfg.eps0 + g
         if want_grad:
-            scale = (1.0 / (denom[rows] * (set_size * nK)))[:, None]
+            scale = (1.0 / (_denominator(cfg, g, K) * (set_size * nK)))[:, None]
             own = np.matmul(P, E)
             other = np.matmul(P.T, scale * E[rows])
             return rows, scale * own, other
@@ -221,14 +222,29 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
 
     block_sums = E.reshape(n, K, -1).sum(axis=1)
     align = -float(np.einsum("im,im->", block_sums, block_sums)) / (n * K * K)
-    per_sample_g = gbar.reshape(n, K)
-    value = float(align + cfg.tau * float(np.mean(np.log(denom))))
     if not want_grad:
-        return value, None, per_sample_g, None
+        return align, gbar, None, None
 
     cot -= np.repeat(block_sums * (2.0 / (n * K * K)), K, axis=0)
     grad = encoder.backward_batch(params, cache, cot)
-    return value, grad, per_sample_g, float(np.mean(_consistency(E, K)))
+    return align, gbar, grad, float(np.mean(_consistency(E, K)))
+
+
+def _denominator(cfg: GlobalObjectiveConfig, g: np.ndarray,
+                 K: int) -> np.ndarray:
+    """eps0 + g for rows g of whole samples' views; v2 takes each sample's
+    mean of g over its K views. The means are row-wise, so a tile's rows get
+    the same bits as the whole array's."""
+    if cfg.version == "v2":
+        g = np.repeat(g.reshape(-1, K).mean(axis=1), K)
+    return cfg.eps0 + g
+
+
+def _value(cfg: GlobalObjectiveConfig, align: float, gbar: np.ndarray,
+           K: int) -> float:
+    """The objective value from _oracle_core's alignment term and masses."""
+    logs = np.log(_denominator(cfg, gbar, K))
+    return float(align + cfg.tau * float(np.mean(logs)))
 
 
 def oracle_F(params, cfg: GlobalObjectiveConfig, ds: Dataset,
@@ -241,16 +257,23 @@ def oracle_F(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     The alignment term averages over ordered view pairs including k = k'.
     Refuses instances with n*K above the enumeration guard.
     """
-    value, grad, per_sample_g, eps = _oracle_core(params, cfg, ds, fam, want_grad=True)
-    return OracleResult(value=value, grad=grad, per_sample_g=per_sample_g,
-                        eps_sq_mean=eps)
+    align, gbar, grad, eps = _oracle_core(params, cfg, ds, fam, want_grad=True)
+    return OracleResult(value=_value(cfg, align, gbar, fam.K), grad=grad,
+                        per_sample_g=gbar.reshape(ds.n, fam.K), eps_sq_mean=eps)
 
 
 def oracle_value(params, cfg: GlobalObjectiveConfig, ds: Dataset,
                  fam: AugmentationFamily) -> float:
     """Objective value only (cheaper path for finite-difference checks)."""
-    value, _, _, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
-    return value
+    return float(_oracle_values(params, (cfg,), ds, fam)[0])
+
+
+def _oracle_values(params, cfgs, ds: Dataset,
+                   fam: AugmentationFamily) -> np.ndarray:
+    """oracle_value of each config in cfgs, which share one tau, read off one
+    value-only pass."""
+    align, gbar, _, _ = _oracle_core(params, cfgs[0], ds, fam, want_grad=False)
+    return np.array([_value(cfg, align, gbar, fam.K) for cfg in cfgs])
 
 
 def aug_consistency_eps(params, ds: Dataset, fam: AugmentationFamily, i: int) -> float:

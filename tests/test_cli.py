@@ -19,15 +19,17 @@ def test_no_subcommand_is_a_usage_error():
 
 
 def test_train_with_config_file_and_overrides(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("dataset.n = 8\noptimizer.steps = 10\n"
-                   "optimizer.batch_size = 4\nmetrics.cadence = 5\n")
-    metrics = str(tmp_path / "m.csv")
-    code = main(["train", str(cfg), f"metrics.path={metrics}"])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "oracle_grad_norm_sq" in out
-    assert [r.step for r in read_metrics(metrics)] == [0, 5, 10]
+    """A config file whose path holds '=' is still read as a file."""
+    for name in ("run.cfg", "lr=0.1.cfg"):
+        cfg = tmp_path / name
+        cfg.write_text("dataset.n = 8\noptimizer.steps = 10\n"
+                       "optimizer.batch_size = 4\nmetrics.cadence = 5\n")
+        metrics = str(tmp_path / "m.csv")
+        code = main(["train", str(cfg), f"metrics.path={metrics}"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "oracle_grad_norm_sq" in out
+        assert [r.step for r in read_metrics(metrics)] == [0, 5, 10]
 
 
 def test_train_defaults_without_config_file(capsys):
@@ -71,8 +73,11 @@ def test_gradcheck_subcommand(capsys):
 
 
 def test_unknown_key_exits_with_config_code(capsys):
-    assert main(["train", "optimizer.learning_rate=1"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    """A first positional with '=' that names no file is an override."""
+    for key in ("optimizer.learning_rate", "foo"):
+        assert main(["train", f"{key}=1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key '{key}' in overrides\n")
 
 
 def test_inconsistent_config_exits_with_config_code(capsys):
@@ -227,7 +232,9 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
      "numeric error: sweep cell B=2 seed=1: step 1: batch slot 0 has no "
      "negatives"),
     (["train", "CONFIG"], EXIT_CONFIG, "config error: CONFIG"),
-    (["gradcheck", "objective.tau=1e-4"], EXIT_NUMERIC, "numeric error: "),
+    (["gradcheck", "objective.tau=1e-4"], EXIT_NUMERIC,
+     "numeric error: oracle_v1_grad: non-finite function value at "
+     "coordinate 0\n"),
     (["train", "encoder.init_scale=1e-200"], EXIT_NUMERIC,
      "numeric error: step 0: pre-normalization output collapsed (row 0, "
      "norm 0.000e+00)"),

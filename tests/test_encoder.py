@@ -120,6 +120,19 @@ def test_finite_diff_flat_exact_on_quadratic():
     np.testing.assert_allclose(fd, 2.0 * A @ x0, rtol=1e-8, atol=1e-9)
 
 
+def test_central_diff_of_a_vector_function():
+    """A column per output, exact for quadratics at these dyadic points; a
+    non-finite second output names its coordinate."""
+    x0 = np.array([1.0, -2.0, 3.0])
+    fd = _central_diff(lambda x: np.array([x @ x, x[0] * x[1] + 2 * x[2] ** 2]),
+                       x0, h=0.5)
+    assert np.array_equal(fd, [[2.0, -2.0], [-4.0, 1.0], [6.0, 12.0]])
+    with pytest.raises(ValueError,
+                       match="^non-finite function value at coordinate 1$"):
+        _central_diff(lambda x: np.array([x.sum(), np.nan if x[1] else 0.0]),
+                      np.zeros(3), h=0.5)
+
+
 def test_central_diff_validation():
     with pytest.raises(ValueError):
         _central_diff(lambda x: float(x.sum()), np.zeros(2), h=0.0)

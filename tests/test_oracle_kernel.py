@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcobench import (RunConfig, aug_consistency_eps, aug_consistency_eps_mean,
-                      g_exact, load_encoder, oracle_F, oracle_value, train)
+from gcobench import (GlobalObjectiveConfig, RunConfig, aug_consistency_eps,
+                      aug_consistency_eps_mean, finite_diff_grad,
+                      flatten_params, g_exact, load_encoder, oracle_F,
+                      oracle_value, train)
 from gcobench import objective
 from gcobench.embed_core import make_augmentation_family
 from gcobench.harness import generate_synthetic
@@ -113,6 +115,32 @@ def test_tiles_match_reference(n, K, version, eps0, arch, tau, seed, data):
         for i in range(n):
             for k in range(K):
                 assert g_exact(params, cfg, i, k, ds, fam) == res.per_sample_g[i, k]
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("eps0", [0.0, 0.5])
+@pytest.mark.parametrize("arch", ["linear", "one_hidden"])
+def test_one_value_pass_gives_each_versions_differences(arch, eps0, K,
+                                                        monkeypatch):
+    """gradcheck's shared sweep, one value pass per difference point, gives
+    the bits of a sweep per version, and of the serial tile loop's values,
+    over tiles of 3, 3 and 2 samples."""
+    ds, fam, params, _ = make_instance(n=8, K=K, eps0=eps0, arch=arch,
+                                       seed=4 + K, aug_scale=0.4)
+    budget = 3 * K * ds.n * K
+    monkeypatch.setattr(objective, "_TILE_MADDS", budget * params.m)
+    monkeypatch.setattr(reference, "_TILE_BUDGET", budget)
+    cfgs = [GlobalObjectiveConfig(tau=0.2, eps0=eps0, version=version)
+            for version in VERSIONS]
+    shared = finite_diff_grad(
+        lambda p: objective._oracle_values(p, cfgs, ds, fam), params)
+    assert shared.shape == (flatten_params(params).size, len(VERSIONS))
+    for column, cfg in zip(shared.T, cfgs):
+        assert np.array_equal(column, finite_diff_grad(
+            lambda p: oracle_value(p, cfg, ds, fam), params))
+        assert np.array_equal(column, finite_diff_grad(
+            lambda p: reference.serial_tile_core(p, cfg, ds, fam, False)[0],
+            params))
 
 
 @pytest.fixture(params=[1, 4], ids=["1-worker", "4-workers"])
