@@ -75,10 +75,7 @@ def _print_run(records) -> None:
           f"{last.oracle_grad_norm_sq:.6g}")
 
 
-def _cmd_train(args, force_bimodal: bool = False) -> int:
-    config = _load(args)
-    if force_bimodal:
-        config = replace(config, algo="bimodal_sogclr")
+def _cmd_train(config: RunConfig) -> int:
     records = harness.train(config)
     _print_run(records)
     if config.metrics_path:
@@ -88,8 +85,7 @@ def _cmd_train(args, force_bimodal: bool = False) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
+def _cmd_sweep(config: RunConfig) -> int:
     result = harness.sweep_batch_size(config)
     for row in result.rows:
         print(f"B={row.batch_size}: plateau {row.plateau_mean:.6g} "
@@ -99,8 +95,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gradcheck(args) -> int:
-    config = _load(args)
+def _cmd_gradcheck(config: RunConfig) -> int:
     report = harness.gradcheck(config)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -113,19 +108,20 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+_COMMANDS = {"train": _cmd_train, "bimodal-train": _cmd_train,
+             "sweep": _cmd_sweep, "gradcheck": _cmd_gradcheck}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # A non-finite estimator, parameter vector, norm or record raises and
         # is reported on one line below; numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
-            if args.command == "train":
-                return _cmd_train(args)
+            config = _load(args)
             if args.command == "bimodal-train":
-                return _cmd_train(args, force_bimodal=True)
-            if args.command == "sweep":
-                return _cmd_sweep(args)
-            return _cmd_gradcheck(args)
+                config = replace(config, algo="bimodal_sogclr")
+            return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,7 +32,7 @@ from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
 from .objective import (ORACLE_GUARD, VERSIONS, GlobalObjectiveConfig,
-                        _oracle_values, oracle_F, oracle_value)
+                        _oracle_values, oracle_F)
 from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
                          make_simclr_state, make_sogclr_state,
                          simclr_batch_loss, simclr_estimator, simclr_step,
@@ -193,16 +193,8 @@ def resolved_tau(config: RunConfig) -> float:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Raise ConfigError on any invalid or inconsistent field."""
-    _validate_fields(config)
-    if config.sampling == "epoch_shuffle" and config.batch_size > config.n:
-        raise ConfigError("optimizer.batch_size must be <= dataset.n under "
-                          "epoch_shuffle")
-
-
-def _validate_fields(config: RunConfig) -> None:
-    """validate_config less its batch size check, which sweep (each cell
-    sets its own) and gradcheck (it draws at most dataset.n) do not need."""
+    """Raise ConfigError on any invalid or inconsistent field, or on a
+    dataset too large for the exact oracle of config.algo's objective."""
     def need(cond: bool, msg: str) -> None:
         if not cond:
             raise ConfigError(msg)
@@ -249,18 +241,17 @@ def _validate_fields(config: RunConfig) -> None:
          "sweep.batch_sizes entries must be >= 2")
     need(len(config.sweep_seeds) >= 1, "sweep.seeds must be nonempty")
     need(all(s >= 0 for s in config.sweep_seeds), "sweep.seeds entries must be >= 0")
-    _check_oracle_size(config, paired=config.algo == "bimodal_sogclr")
-
-
-def _check_oracle_size(config: RunConfig, paired: bool) -> None:
-    """Raise ConfigError when the exact oracle that records (or checks) a
-    unimodal or two-way run would refuse the configured dataset size."""
-    if paired and config.n > bimodal.TWOWAY_ORACLE_GUARD:
-        raise ConfigError(f"dataset.n must be <= {bimodal.TWOWAY_ORACLE_GUARD} "
-                          f"for the two-way oracle, got {config.n}")
-    if not paired and config.n * config.aug_k > ORACLE_GUARD:
-        raise ConfigError(f"dataset.n * aug.k must be <= {ORACLE_GUARD} for "
-                          f"the oracle, got {config.n * config.aug_k}")
+    if config.algo == "bimodal_sogclr":
+        need(config.n <= bimodal.TWOWAY_ORACLE_GUARD,
+             f"dataset.n must be <= {bimodal.TWOWAY_ORACLE_GUARD} for the "
+             f"two-way oracle, got {config.n}")
+    else:
+        need(config.n * config.aug_k <= ORACLE_GUARD,
+             f"dataset.n * aug.k must be <= {ORACLE_GUARD} for the oracle, "
+             f"got {config.n * config.aug_k}")
+    need(config.sampling != "epoch_shuffle" or config.batch_size <= config.n,
+         f"batch size {config.batch_size} exceeds dataset.n = {config.n} "
+         f"under epoch_shuffle")
 
 
 def generate_synthetic(n: int, d_in: int, clusters: int, separation: float,
@@ -305,18 +296,18 @@ def plateau(records) -> float:
     return float(np.mean([r.oracle_grad_norm_sq for r in records[-k:]]))
 
 
-def _inputs(config: RunConfig, paired: bool):
+def _inputs(config: RunConfig):
     """(dataset, augmentation family, encoder) of a unimodal run, or (pairs,
-    image encoder, text encoder) of a bimodal one. Values that pass
-    validate_config but not the builders (an augmentation scale whose deltas
-    overflow, say) are reported as ConfigError."""
+    image encoder, text encoder) of a bimodal one, as config.algo says.
+    Values that pass validate_config but not the builders (an augmentation
+    scale whose deltas overflow, say) are reported as ConfigError."""
     def encoder(d_in: int, seed_shift: int = 0):
         return init_encoder(config.arch, d_in, config.m_embed, config.d_hidden,
                             config.encoder_seed + seed_shift, config.init_scale)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if paired:
+            if config.algo == "bimodal_sogclr":
                 pairs = generate_synthetic_pairs(
                     config.n, config.d_in, config.d_text, config.clusters,
                     config.separation, config.data_seed)
@@ -334,7 +325,7 @@ def _unimodal_task(config: RunConfig):
     """Initial params plus the step, measure and save closures of a simclr
     or sogclr run. measure returns the record's objective_value,
     oracle_grad_norm_sq, u_tracking_mse and eps_sq_mean, in that order."""
-    ds, fam, params = _inputs(config, paired=False)
+    ds, fam, params = _inputs(config)
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = MinibatchSampler(ds, fam, config.batch_size, rng, config.sampling)
@@ -365,7 +356,7 @@ def _unimodal_task(config: RunConfig):
 def _bimodal_task(config: RunConfig):
     """Initial (image, text) params plus the step, measure and save closures
     of a two-way run, as for _unimodal_task."""
-    ds, params_i, params_t = _inputs(config, paired=True)
+    ds, params_i, params_t = _inputs(config)
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = IndexSampler(config.n, config.batch_size, rng, config.sampling)
@@ -516,11 +507,8 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
     per CPU, and in this process when there is one CPU. Their outcomes are
     read in cell order, so the result, the sweep file and the error of the
     first failing cell do not depend on the process count."""
-    _validate_fields(config)
-    for b in config.sweep_batch_sizes:
-        if config.sampling == "epoch_shuffle" and b > config.n:
-            raise ConfigError(f"sweep batch size {b} exceeds dataset.n "
-                              f"under epoch_shuffle")
+    validate_config(replace(config, batch_size=max(config.sweep_batch_sizes,
+                                                   default=config.batch_size)))
     cells = [replace(config, batch_size=b, train_seed=seed,
                      encoder_seed=config.encoder_seed + seed,
                      metrics_path="", checkpoint_path="", sweep_path="")
@@ -611,16 +599,18 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     Finite-difference comparisons run at tolerance 1e-5, estimator-vs-
     estimator identities at 1e-8. Guards against instances with more than
     200 encoder parameters, where central differencing gets slow and noisy.
+    Validates the run, at a batch of at most dataset.n, under both
+    objectives.
     """
-    _validate_fields(config)
-    # _validate_fields checked the oracle of the run's own objective; gradcheck
-    # runs both, so it checks the other one too.
-    _check_oracle_size(config, paired=config.algo != "bimodal_sogclr")
-    tau = config.tau if config.tau is not None else DEFAULT_TAU
-    tau_bi = config.tau if config.tau is not None else bimodal.DEFAULT_TAU
+    run = replace(config, batch_size=min(config.batch_size, config.n))
+    validate_config(run)
+    bimodal_run = run.algo == "bimodal_sogclr"
+    other = replace(run, algo="sogclr" if bimodal_run else "bimodal_sogclr")
+    validate_config(other)          # gradcheck runs both objectives' oracles
+    uni, bi = (other, run) if bimodal_run else (run, other)
 
-    ds, fam, params = _inputs(config, paired=False)
-    pds, _, params_ti = _inputs(config, paired=True)
+    ds, fam, params = _inputs(uni)
+    pds, _, params_ti = _inputs(bi)
     d_uni = flatten_params(params).shape[0]
     d_pair = d_uni + flatten_params(params_ti).shape[0]
     if max(d_uni, d_pair) > GRADCHECK_GUARD:
@@ -631,26 +621,28 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
 
     # Exact oracles against central differences, both versions read off one
     # value pass per difference point.
-    cfgs = [GlobalObjectiveConfig(tau=tau, eps0=config.eps0, version=version)
-            for version in VERSIONS]
+    cfg_u = _objective_config(uni)
+    cfgs = [replace(cfg_u, version=version) for version in VERSIONS]
     grads = [oracle_F(params, cfg_v, ds, fam).grad for cfg_v in cfgs]
     try:
         fd = finite_diff_grad(lambda p: _oracle_values(p, cfgs, ds, fam),
                               params)
-    except ValueError:
-        # Raise as one sweep per version would: at the first version's first
-        # non-finite coordinate.
-        for cfg_v, grad in zip(cfgs, grads):
-            _fd_check(f"oracle_{cfg_v.version}_grad", grad, finite_diff_grad,
-                      lambda p: oracle_value(p, cfg_v, ds, fam), params)
-        raise
+    except ValueError as exc:
+        # One sweep per version would stop at this line too, in v1's sweep.
+        # v2 takes the log of eps0 plus the mean of a sample's K view
+        # masses. Each finite mass is at most MAX/((n-1)K), so the mean
+        # cannot overflow. Masses are multiples of the least subnormal,
+        # whose sums are exact, so the mean is 0 only where a mass is 0.
+        # Wherever v2 is non-finite, v1 is too, and the first bad
+        # coordinate is v1's.
+        raise NumericError(f"oracle_v1_grad: {exc}") from exc
     for cfg_v, grad, column in zip(cfgs, grads, fd.T):
         checks.append(GradcheckResult(name=f"oracle_{cfg_v.version}_grad",
                                       rel_err=_rel_err(grad, column),
                                       tol=FD_TOL))
 
     # Two-way oracle against central differences over both encoders jointly.
-    cfg_bi = GlobalObjectiveConfig(tau=tau_bi, eps0=config.eps0)
+    cfg_bi = _objective_config(bi)
     res_bi = twoway_oracle_F(params, params_ti, cfg_bi, pds)
     w0 = bimodal.pair_to_flat(params, params_ti)
 
@@ -662,19 +654,16 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
                             finite_diff_flat, bi_value, w0))
 
     # In-batch estimator against differences of its own batch loss.
-    cfg_u = GlobalObjectiveConfig(tau=tau, eps0=config.eps0,
-                                  version=config.version)
-    rng = np.random.default_rng(config.train_seed)
-    batch = sample_minibatch(ds, fam, min(config.batch_size, config.n), rng,
-                             "epoch_shuffle")
+    rng = np.random.default_rng(run.train_seed)
+    batch = sample_minibatch(ds, fam, run.batch_size, rng, "epoch_shuffle")
     est = simclr_estimator(params, cfg_u, batch, ds, fam)
     checks.append(_fd_check(
         "simclr_estimator_vs_loss", est, finite_diff_grad,
         lambda p: simclr_batch_loss(p, cfg_u, batch, ds, fam), params))
 
     # Frozen-weight surrogate against the moving-average estimator.
-    state = make_sogclr_state(config.n, d_uni, eta=config.eta,
-                              gamma=config.gamma, beta=config.beta)
+    state = make_sogclr_state(run.n, d_uni, eta=run.eta, gamma=run.gamma,
+                              beta=run.beta)
     sogclr_update_u(state, params, cfg_u, batch, ds, fam)
     report = sogclr_estimator(state, params, cfg_u, batch, ds, fam)
     _, eval_fn = dcl_surrogate(state, params, cfg_u, batch, ds, fam)
@@ -683,13 +672,12 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
 
     # Full-batch single-view moving-average estimator against the exact
     # version-2 oracle gradient (an algebraic identity, so 1e-8).
-    fam1 = make_augmentation_family(config.d_in, 1, config.aug_scale,
-                                    config.aug_seed)
-    full = MiniBatch(indices=np.arange(config.n),
-                     aug_a=np.zeros(config.n, dtype=int),
-                     aug_b=np.zeros(config.n, dtype=int))
-    cfg_v2 = GlobalObjectiveConfig(tau=tau, eps0=0.0, version="v2")
-    state1 = make_sogclr_state(config.n, d_uni, eta=config.eta, gamma=1.0)
+    fam1 = make_augmentation_family(run.d_in, 1, run.aug_scale, run.aug_seed)
+    full = MiniBatch(indices=np.arange(run.n),
+                     aug_a=np.zeros(run.n, dtype=int),
+                     aug_b=np.zeros(run.n, dtype=int))
+    cfg_v2 = replace(cfg_u, eps0=0.0, version="v2")
+    state1 = make_sogclr_state(run.n, d_uni, eta=run.eta, gamma=1.0)
     m_full = sogclr_estimator(state1, params, cfg_v2, full, ds, fam1).estimator
     oracle_full = oracle_F(params, cfg_v2, ds, fam1).grad
     checks.append(GradcheckResult(name="sogclr_vs_oracle_v2",
@@ -697,10 +685,10 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
                                   tol=EXACT_TOL))
 
     # Two-way estimator with statistics planted at their exact values.
-    state_bi = make_bimodal_state(config.n, d_pair, eta=config.eta)
+    state_bi = make_bimodal_state(run.n, d_pair, eta=run.eta)
     state_bi.u[:] = res_bi.g_image, res_bi.g_text
     est_bi = twoway_estimator(state_bi, params, params_ti, cfg_bi,
-                              np.arange(config.n), pds)
+                              np.arange(run.n), pds)
     checks.append(GradcheckResult(name="twoway_planted_u",
                                   rel_err=_rel_err(est_bi, res_bi.grad),
                                   tol=EXACT_TOL))
@@ -729,7 +717,8 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
 
 
 def read_metrics(path: str, fmt: str = "csv"):
-    """Parse a metrics file written by emit_metrics."""
+    """Parse a metrics file written by emit_metrics. What it cannot write, a
+    non-finite value or a step that is not an integer, is a ValueError."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
     records = []
@@ -745,7 +734,15 @@ def read_metrics(path: str, fmt: str = "csv"):
                 rows = ([json.loads(line)[col] for col in METRICS_COLUMNS]
                         for line in fh if line.strip())
             for step, *values in rows:
-                records.append(MetricsRecord(int(step), *map(float, values)))
+                # json reads a step of 1.7 and a value of true, which int and
+                # float would make 1 and 1.0.
+                if fmt == "jsonl" and (type(step) is not int or any(
+                        type(v) not in (int, float) for v in values)):
+                    raise ValueError(f"wrong types in {[step, *values]}")
+                values = [float(v) for v in values]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"non-finite value in {[step, *values]}")
+                records.append(MetricsRecord(int(step), *values))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad metrics file {path}: {exc!r}") from exc
     return records

@@ -47,11 +47,13 @@ def test_bimodal_train_subcommand(capsys):
 
 
 def test_sweep_subcommand(tmp_path, capsys):
-    """The second run's default optimizer.batch_size exceeds dataset.n; the
-    sweep reads only its own batch sizes."""
+    """The second run's default optimizer.batch_size exceeds dataset.n, and
+    the third's is below 2; the sweep reads only its own batch sizes."""
     path = str(tmp_path / "sweep.csv")
     for argv in (["dataset.n=8", "optimizer.steps=6", f"sweep.path={path}"],
-                 ["dataset.n=4", "optimizer.steps=5"]):
+                 ["dataset.n=4", "optimizer.steps=5"],
+                 ["dataset.n=4", "optimizer.steps=5",
+                  "optimizer.batch_size=1"]):
         code = main(["sweep", "sweep.batch_sizes=2,4", "sweep.seeds=1", *argv])
         assert code == EXIT_OK
         out = capsys.readouterr().out
@@ -242,10 +244,15 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
      "i/o error: cannot write checkpoint to MISSING: "),
     (["bimodal-train", "optimizer.steps=2", "checkpoint.path=MISSING"],
      EXIT_IO, "i/o error: cannot write checkpoint to MISSING.image: "),
+    (["train", "optimizer.batch_size=64"], EXIT_CONFIG, "config error: batch "
+     "size 64 exceeds dataset.n = 32 under epoch_shuffle\n"),
+    (["sweep", "sweep.batch_sizes=4,64,16"], EXIT_CONFIG, "config error: "
+     "batch size 64 exceeds dataset.n = 32 under epoch_shuffle\n"),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
         "step-0-collapsed-embedding", "checkpoint-not-writable",
-        "bimodal-checkpoint-not-writable"])
+        "bimodal-checkpoint-not-writable", "batch-exceeds-dataset",
+        "sweep-batch-exceeds-dataset"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")

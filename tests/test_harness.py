@@ -10,14 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from gcobench import (ConfigError, MetricsRecord, NumericError, RunConfig,
-                      apply_overrides, emit_metrics, generate_synthetic,
+from gcobench import (ConfigError, GlobalObjectiveConfig, MetricsRecord,
+                      NumericError, RunConfig, apply_overrides, emit_metrics,
+                      finite_diff_grad, generate_synthetic,
                       generate_synthetic_pairs, gradcheck, load_config,
-                      load_encoder, plateau, read_metrics, sweep_batch_size,
-                      train, validate_config)
+                      load_encoder, oracle_value, plateau, read_metrics,
+                      sweep_batch_size, train, validate_config)
 from gcobench import encoder as encoder_module
 from gcobench import bimodal, harness
 from gcobench.embed_core import SAMPLING_MODES
+from gcobench.harness import METRICS_COLUMNS
+from gcobench.objective import VERSIONS
 from dataclasses import fields, replace
 
 
@@ -148,6 +151,8 @@ def test_every_config_key_sets_its_field():
     dict(encoder_seed=-1),
     dict(train_seed=-1),
     dict(sweep_seeds=(1, -1)),
+    dict(n=5001, aug_k=2),                      # the unimodal oracle's guard
+    dict(n=1001, algo="bimodal_sogclr"),        # the two-way oracle's guard
 ])
 def test_validate_config_rejects(bad):
     """The error names the dotted key of a field the case sets."""
@@ -362,6 +367,30 @@ def test_metrics_empty_and_errors(tmp_path):
         fh.write('{"step": 1}\n')
     with pytest.raises(ValueError, match=re.escape(jl)):
         read_metrics(jl, "jsonl")
+    # What emit_metrics never writes: train stops on a non-finite record.
+    header = ",".join(METRICS_COLUMNS) + "\n"
+    for row in ("0,nan,0.0,0.0,0.0,0.0", "0,0.0,inf,0.0,0.0,0.0",
+                "0,0.0,0.0,-inf,0.0,0.0", "0,nan,inf,-inf,0.0,0.0"):
+        bad.write_text(header + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            read_metrics(str(bad), "csv")
+    def write_jsonl_row(**raw):
+        row = {col: "0.0" for col in METRICS_COLUMNS} | {"step": "1"} | raw
+        with open(jl, "w") as fh:
+            fh.write("{" + ", ".join(f'"{col}": {text}'
+                                     for col, text in row.items()) + "}\n")
+
+    write_jsonl_row()
+    assert read_metrics(jl, "jsonl") == [MetricsRecord(1, *[0.0] * 5)]
+    # JSON that int and float would read as a step of 1, a value of 1.0 or
+    # a non-finite value.
+    for key, raw in (("objective_value", "1e400"), ("u_tracking_mse", "NaN"),
+                     ("eps_sq_mean", "-Infinity"), ("step", "1.7"),
+                     ("step", "true"), ("wall_clock_ms", "true"),
+                     ("objective_value", '"0.5"')):
+        write_jsonl_row(**{key: raw})
+        with pytest.raises(ValueError, match=re.escape(jl)):
+            read_metrics(jl, "jsonl")
 
 
 def test_sweep_batch_size_aggregates(tmp_path):
@@ -440,9 +469,24 @@ def test_sweep_stops_when_a_cell_process_dies(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_batch_size_rejects_oversized_batches():
-    with pytest.raises(ConfigError):
-        sweep_batch_size(replace(SMALL, sweep_batch_sizes=(2, 64)))
+def test_sweep_batch_size_rejects_oversized_batches(monkeypatch):
+    """The sweep validates its largest cell before any cell starts, in a
+    process of its own or in this one."""
+    def start(*args):
+        raise AssertionError("a sweep cell started")
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_forked_outcomes", start)
+    monkeypatch.setattr(harness, "_outcome", start)
+    with pytest.raises(ConfigError, match=r"^batch size 64 exceeds dataset\.n "
+                       r"= 8 under epoch_shuffle$"):
+        sweep_batch_size(replace(SMALL, sweep_batch_sizes=(2, 64, 4)))
+
+
+def test_sweep_batch_size_rejects_an_empty_batch_list():
+    with pytest.raises(ConfigError, match="^sweep.batch_sizes must be "
+                       "nonempty$"):
+        sweep_batch_size(replace(SMALL, sweep_batch_sizes=()))
 
 
 GRADCHECK_NAMES = ("oracle_v1_grad", "oracle_v2_grad", "twoway_oracle_grad",
@@ -474,3 +518,65 @@ def test_gradcheck_detects_broken_backward(monkeypatch):
     failures = {c.name for c in report.checks if not c.passed}
     assert "oracle_v1_grad" in failures
     assert "simclr_estimator_vs_loss" in failures
+
+
+def tiny_run(**changes):
+    """A gradcheck instance at n <= 8 with make_instance's sizes."""
+    return replace(RunConfig(n=4, d_in=4, m_embed=3, d_hidden=6, d_text=3,
+                             separation=2.0, aug_scale=0.4, batch_size=4,
+                             data_seed=0, aug_seed=1, encoder_seed=2),
+                   **changes)
+
+
+def sweep_error(run):
+    """The line that one finite_diff_grad(oracle_value) sweep per version,
+    v1's then v2's, raises first, or None."""
+    ds, fam, params = harness._inputs(run)
+    for version in VERSIONS:
+        cfg = GlobalObjectiveConfig(tau=run.tau, eps0=run.eps0,
+                                    version=version)
+        try:
+            finite_diff_grad(lambda p: oracle_value(p, cfg, ds, fam), params)
+        except ValueError as exc:
+            return f"oracle_{version}_grad: {exc}"
+    return None
+
+
+def gradcheck_error(run):
+    try:
+        gradcheck(run)
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("tau", [1e-4, 9.2653e-4, 1.3e-3, 1.4e-3])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("eps0", [0.0, 0.5])
+@pytest.mark.parametrize("arch", ["linear", "one_hidden"])
+def test_gradcheck_fails_where_a_sweep_per_version_would(arch, eps0, K, tau):
+    """gradcheck's one shared sweep of both versions raises the line of a
+    sweep per version, where exp(sim / tau) overflows or underflows. At
+    9.2653e-4 the one_hidden sweeps with K >= 2 first fail at coordinate 6."""
+    run = tiny_run(arch=arch, eps0=eps0, aug_k=K, tau=tau)
+    with np.errstate(all="ignore"):
+        want, got = sweep_error(run), gradcheck_error(run)
+    if want is None:        # a later check may still fail on its own
+        assert got is None or not got.startswith("oracle_")
+    else:
+        assert got == want
+
+
+def test_gradcheck_names_v1_where_only_v1_is_non_finite():
+    """One view's mass underflows to 0, so v1 takes log 0 at every point,
+    while v2's sample mean keeps the other view's positive mass."""
+    run = tiny_run(n=2, m_embed=2, arch="linear", aug_k=2, aug_scale=1.0,
+                   data_seed=9, aug_seed=10, encoder_seed=11, tau=1.3e-3,
+                   batch_size=2)
+    ds, fam, params = harness._inputs(run)
+    cfg_v2 = GlobalObjectiveConfig(tau=run.tau, version="v2")
+    with np.errstate(all="ignore"):
+        finite_diff_grad(lambda p: oracle_value(p, cfg_v2, ds, fam), params)
+        line = "oracle_v1_grad: non-finite function value at coordinate 0"
+        assert sweep_error(run) == line
+        assert gradcheck_error(run) == line
