@@ -105,8 +105,8 @@ class _PairStats:
     ET: np.ndarray
     cache_image: object
     cache_text: object
-    S: np.ndarray
-    expS: np.ndarray
+    trace: float            # sum of the pairs' own scores S_ii
+    expS: np.ndarray        # exp(S / tau); _pair_grad overwrites it
     g_image: np.ndarray     # row masses over the candidates present
     g_text: np.ndarray      # column masses
 
@@ -115,11 +115,12 @@ def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
                   X_image: np.ndarray, X_text: np.ndarray) -> _PairStats:
     EI, cache_i = encoder.encode_batch(params_image, X_image)
     ET, cache_t = encoder.encode_batch(params_text, X_text)
-    S = EI @ ET.T
-    expS = S / cfg.tau
+    expS = EI @ ET.T
+    trace = np.trace(expS)
+    np.divide(expS, cfg.tau, out=expS)
     np.exp(expS, out=expS)
     return _PairStats(EI=EI, ET=ET, cache_image=cache_i, cache_text=cache_t,
-                      S=S, expS=expS,
+                      trace=trace, expS=expS,
                       g_image=expS.mean(axis=1), g_text=expS.mean(axis=0))
 
 
@@ -127,10 +128,13 @@ def _pair_grad(params_image, params_text, stats: _PairStats,
                denom_image: np.ndarray, denom_text: np.ndarray) -> np.ndarray:
     """Gradient over concatenated (image, text) parameters of the two-way
     expression over the rows of stats, with the given row and column
-    denominators eps0 + (mass or statistic)."""
-    B = stats.S.shape[0]
-    C = stats.expS / B ** 2 * (1.0 / denom_image[:, None]
-                               + 1.0 / denom_text[None, :])
+    denominators eps0 + (mass or statistic). Consumes stats.expS: the
+    contrast matrix is written over it, and the grid of reciprocal sums is
+    the one other B x B array."""
+    B = stats.expS.shape[0]
+    C = stats.expS
+    C /= B ** 2
+    C *= 1.0 / denom_image[:, None] + 1.0 / denom_text[None, :]
     sl = np.arange(B)
     C[sl, sl] -= 2.0 / B
     grad_i = encoder.backward_batch(params_image, stats.cache_image,
@@ -150,7 +154,7 @@ def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
     stats = _paired_stats(params_image, params_text, cfg, ds.image, ds.text)
     di = cfg.eps0 + stats.g_image
     dt = cfg.eps0 + stats.g_text
-    value = float(-2.0 * np.trace(stats.S) / n
+    value = float(-2.0 * stats.trace / n
                   + cfg.tau * np.mean(np.log(di))
                   + cfg.tau * np.mean(np.log(dt)))
     grad = (_pair_grad(params_image, params_text, stats, di, dt)

@@ -31,8 +31,8 @@ from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
                          sample_minibatch)
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
-from .objective import (ORACLE_GUARD, VERSIONS, GlobalObjectiveConfig,
-                        _oracle_values, oracle_F)
+from .objective import (ORACLE_GUARD, TILE_GUARD, VERSIONS,
+                        GlobalObjectiveConfig, _oracle_values, oracle_F)
 from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
                          make_simclr_state, make_sogclr_state,
                          simclr_batch_loss, simclr_estimator, simclr_step,
@@ -249,6 +249,10 @@ def validate_config(config: RunConfig) -> None:
         need(config.n * config.aug_k <= ORACLE_GUARD,
              f"dataset.n * aug.k must be <= {ORACLE_GUARD} for the oracle, "
              f"got {config.n * config.aug_k}")
+        madds = config.aug_k * config.n * config.aug_k * config.m_embed
+        need(madds < TILE_GUARD,
+             f"aug.k * dataset.n * aug.k * encoder.m must be < {TILE_GUARD} "
+             f"for the oracle's tiles, got {madds}")
     need(config.sampling != "epoch_shuffle" or config.batch_size <= config.n,
          f"batch size {config.batch_size} exceeds dataset.n = {config.n} "
          f"under epoch_shuffle")
@@ -716,9 +720,20 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
 
+def _jsonl_row(line: str) -> list:
+    """A JSONL row's values. Objects decode to tuples of pairs, which keep a
+    repeated key that a dict would drop and which no JSON array becomes."""
+    pairs = json.loads(line, object_pairs_hook=tuple)
+    if type(pairs) is not tuple or tuple(k for k, _ in pairs) != METRICS_COLUMNS:
+        raise ValueError(f"keys are not the columns in {line.strip()}")
+    return [v for _, v in pairs]
+
+
 def read_metrics(path: str, fmt: str = "csv"):
-    """Parse a metrics file written by emit_metrics. What it cannot write, a
-    non-finite value or a step that is not an integer, is a ValueError."""
+    """Parse a metrics file written by emit_metrics. What it cannot write is a
+    ValueError: a non-finite value, a step that is not an integer, a CSV
+    field that is not repr of its value, or a JSONL row whose keys are not
+    the columns in order, each once."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
     records = []
@@ -731,18 +746,21 @@ def read_metrics(path: str, fmt: str = "csv"):
                     raise ValueError(f"unexpected header {header}")
                 rows = reader
             else:
-                rows = ([json.loads(line)[col] for col in METRICS_COLUMNS]
-                        for line in fh if line.strip())
-            for step, *values in rows:
+                rows = (_jsonl_row(line) for line in fh if line.strip())
+            for row in rows:
+                step, *values = row
                 # json reads a step of 1.7 and a value of true, which int and
                 # float would make 1 and 1.0.
                 if fmt == "jsonl" and (type(step) is not int or any(
                         type(v) not in (int, float) for v in values)):
-                    raise ValueError(f"wrong types in {[step, *values]}")
-                values = [float(v) for v in values]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"non-finite value in {[step, *values]}")
-                records.append(MetricsRecord(int(step), *values))
-    except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"wrong types in {row}")
+                parsed = [int(step), *map(float, values)]
+                if not all(map(math.isfinite, parsed[1:])):
+                    raise ValueError(f"non-finite value in {row}")
+                # int and float also read 1_0, 1_0.5 and ' 2.0'.
+                if fmt == "csv" and list(map(repr, parsed)) != row:
+                    raise ValueError(f"a field is not repr of its value in {row}")
+                records.append(MetricsRecord(*parsed))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad metrics file {path}: {exc!r}") from exc
     return records

@@ -16,8 +16,9 @@ The exact oracle's time is quadratic in n*K, but its memory is linear: it
 walks the n*K x n*K similarity matrix S in row tiles, one thread per CPU,
 and never holds it. Each tile's products are single BLAS calls on the
 thread that runs the tile, so its bits depend neither on the number of
-CPUs nor on the BLAS thread setting while K * n*K * m < 2^19. The
-consistency diagnostic needs no S, only the m x m Gram matrix.
+CPUs nor on the BLAS thread setting; it refuses K * n*K * m >= 2^19, where
+one sample's products would exceed that bound. The consistency diagnostic
+needs no S, only the m x m Gram matrix.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
 # 64 rows), which spin on the CPUs the tile pool and a sweep's other cells
 # use and change the bits. At m = 4 a tile of S is about 1 MiB and stays in
 # L2 (2^17 entries was the fastest of 2^15..2^20 at n = 256, 1024 and 5000).
-# Tiles hold whole samples, so one sample's tile exceeds the cap if K*n*K*m does.
-_TILE_MADDS = (1 << 19) - 1
+# Tiles hold whole samples, so one sample's tile would exceed the cap once
+# K*n*K*m reaches TILE_GUARD; the oracle refuses such sizes.
+TILE_GUARD = 1 << 19
+_TILE_MADDS = TILE_GUARD - 1
 
 
 def _embeddings(params, ds: Dataset, fam: AugmentationFamily):
@@ -175,12 +178,16 @@ def _oracle_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     in flight, and write only their rows of gbar. The caller adds their
     cotangent terms in tile order: the same bits on any worker count.
 
+    Refuses sizes where one sample's tile would exceed the bound.
     Returns the alignment term, gbar (n*K,), and with want_grad the gradient
     and the mean consistency diagnostic. Neither align nor gbar depends on
     the version or eps0, so one value-only pass serves every _value of a tau.
     """
     n, K = ds.n, fam.K
     nK = n * K
+    if K * nK * params.m >= TILE_GUARD:
+        raise OracleSizeError(f"oracle tiles need K * n*K * m < {TILE_GUARD}, "
+                              f"got {K * nK * params.m}")
     E, cache = _embeddings(params, ds, fam)
     Es = E / cfg.tau
     set_size = (n - 1) * K

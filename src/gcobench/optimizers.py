@@ -152,11 +152,12 @@ class StepReport:
 @dataclass
 class _BatchStats:
     """Shared per-batch quantities for estimator assembly, over the 2B anchor
-    views stacked as first views then second views."""
+    views stacked as first views then second views. P is the only (2B, 2B)
+    array, and _assemble_estimator overwrites it."""
 
     E: np.ndarray               # (2B, m)
     cache: object
-    S: np.ndarray               # (2B, 2B) similarities
+    pos: np.ndarray             # (B,) positive-pair similarities
     P: np.ndarray               # (2B, 2B) exp(sim/tau) on member slots, else 0
     cnt: np.ndarray             # (2B,) member counts |B_t|
     gbar: np.ndarray            # (2B,) averaged in-batch masses
@@ -169,27 +170,33 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     # Not the gemm form E @ ascontiguousarray(E.T): on OpenBLAS it differs from
     # this syrk form in the last bit for most 2B not a multiple of 8. Its 21 us
     # at 2B = 128 are not syrk's but numpy's mirror of the triangle at a 1 KiB
-    # row stride, hitting the same L1 sets every row (ROADMAP item 3).
-    S = E @ E.T
+    # row stride, hitting the same L1 sets every row (ROADMAP item 9).
+    P = E @ E.T
     idx = batch.indices
     member = idx[:, None] != idx[None, :]            # (B, B) slot mask
     half = member.sum(axis=1)
     if not half.all():
         bad = int(np.argmin(half))
         raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
-    P = S / cfg.tau
+    pos = P.diagonal(B).copy()
+    np.divide(P, cfg.tau, out=P)
     np.exp(P, out=P)
-    blocks = P.reshape(2, B, 2, B)    # each (B, B) view block takes the slot mask
-    blocks *= member[:, None, :]
+    # Each (B, B) view block takes the slot mask. Assigning 0.0, not
+    # multiplying by the mask, keeps an overflowed masked entry out of gbar.
+    np.copyto(P.reshape(2, B, 2, B), 0.0, where=~member[:, None, :])
     cnt = 2 * np.concatenate((half, half))
-    return _BatchStats(E=E, cache=cache, S=S, P=P, cnt=cnt,
+    return _BatchStats(E=E, cache=cache, pos=pos, P=P, cnt=cnt,
                        gbar=P.sum(axis=1) / cnt)
 
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
                         denom: np.ndarray) -> np.ndarray:
+    """The estimator for the 2B denominators denom. Consumes stats.P: the
+    contrast matrix C is written over it, and C + C^T is the one other
+    (2B, 2B) array."""
     B = stats.cnt.shape[0] // 2
-    C = stats.P / ((cfg.eps0 + denom)[:, None] * stats.cnt[:, None] * 2 * B)
+    C = stats.P
+    C /= (cfg.eps0 + denom)[:, None] * stats.cnt[:, None] * 2 * B
     sl = np.arange(B)
     C[sl, B + sl] = -1.0 / B
     cot = (C + C.T) @ stats.E
@@ -211,9 +218,8 @@ def simclr_batch_loss(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     with f(g) = tau ln(eps0 + g)."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
     B = batch.B
-    pos = stats.S[np.arange(B), B + np.arange(B)]
     f = cfg.tau * np.log(cfg.eps0 + stats.gbar)
-    return float(np.mean(-pos + 0.5 * (f[:B] + f[B:])))
+    return float(np.mean(-stats.pos + 0.5 * (f[:B] + f[B:])))
 
 
 def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -259,10 +265,12 @@ def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
 
 
 def _surrogate_value(S: np.ndarray, W: np.ndarray, cnt: np.ndarray) -> float:
+    """The surrogate at similarities S, which it overwrites with W * S."""
     B = cnt.shape[0] // 2
-    sl = np.arange(B)
-    neg = (W * S).sum(axis=1) / cnt
-    return float(np.mean(-S[sl, B + sl] + 0.5 * (neg[:B] + neg[B:])))
+    pos = S.diagonal(B).copy()
+    S *= W
+    neg = S.sum(axis=1) / cnt
+    return float(np.mean(-pos + 0.5 * (neg[:B] + neg[B:])))
 
 
 def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -286,10 +294,11 @@ def dcl_surrogate(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
     denom, _ = _sogclr_denoms(state, stats, batch)
-    W = stats.P / (cfg.eps0 + denom)[:, None]
+    W = stats.P
+    W /= (cfg.eps0 + denom)[:, None]
     cnt = stats.cnt
     X = stats.cache.X
-    value = _surrogate_value(stats.S, W, cnt)
+    value = _surrogate_value(stats.E @ stats.E.T, W, cnt)
 
     def eval_fn(other_params) -> float:
         E2, _ = encoder.encode_batch(other_params, X)

@@ -11,6 +11,8 @@ cheaply. The two hand-crafted instances have closed-form values:
   so every averaged negative mass is e^0 = 1 and the objective value is -1.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from gcobench import (AugmentationFamily, Dataset, EncoderParams,
@@ -68,3 +70,13 @@ def orthogonal_paired_instance(tau=0.1):
     params = EncoderParams(architecture="linear", W1=np.eye(2))
     cfg = GlobalObjectiveConfig(tau=tau)
     return pds, params, params, cfg
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

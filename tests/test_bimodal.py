@@ -13,7 +13,8 @@ from gcobench import (NumericError, OptimizerState, PairedDataset, encode,
 from gcobench.bimodal import (TWOWAY_ORACLE_GUARD, flat_to_pair, pair_to_flat)
 from gcobench.optimizers import ADAM_EPS
 
-from conftest import make_paired_instance, orthogonal_paired_instance
+from conftest import (make_paired_instance, orthogonal_paired_instance,
+                      traced_peak)
 
 
 def brute_twoway_value(params_i, params_t, cfg, pds):
@@ -122,6 +123,22 @@ def test_twoway_update_u_matches_brute_force():
     np.testing.assert_allclose(u_t, 0.6 * 0.7 + 0.4 * g_txt, rtol=1e-12)
     np.testing.assert_allclose(state.u_image[idx], u_i, rtol=1e-15)
     assert state.u_image[0] == 0.3 and state.u_text[0] == 0.7
+
+
+def test_twoway_kernels_hold_two_square_arrays():
+    """At n = 512 one n x n float64 array is 2 MiB. The estimator and the
+    oracle hold the masses and the grid of reciprocal sums, and no more than
+    half a third array besides."""
+    n = 512
+    pds, params_i, params_t, cfg = make_paired_instance(n=n, seed=1)
+    res = twoway_oracle_F(params_i, params_t, cfg, pds)
+    state = make_bimodal_state(n, res.grad.shape[0], eta=0.1)
+    state.u[:] = res.g_image, res.g_text
+    square = n * n * 8
+    for run in (lambda: twoway_estimator(state, params_i, params_t, cfg,
+                                         np.arange(n), pds),
+                lambda: twoway_oracle_F(params_i, params_t, cfg, pds)):
+        assert traced_peak(run) < 2.5 * square
 
 
 def test_estimator_requires_positive_statistics():

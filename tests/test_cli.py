@@ -248,11 +248,14 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
      "size 64 exceeds dataset.n = 32 under epoch_shuffle\n"),
     (["sweep", "sweep.batch_sizes=4,64,16"], EXIT_CONFIG, "config error: "
      "batch size 64 exceeds dataset.n = 32 under epoch_shuffle\n"),
+    (["train", "dataset.n=714", "aug.k=14"], EXIT_CONFIG, "config error: "
+     "aug.k * dataset.n * aug.k * encoder.m must be < 524288 for the "
+     "oracle's tiles, got 559776\n"),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
         "step-0-collapsed-embedding", "checkpoint-not-writable",
         "bimodal-checkpoint-not-writable", "batch-exceeds-dataset",
-        "sweep-batch-exceeds-dataset"])
+        "sweep-batch-exceeds-dataset", "oracle-tile-past-blas-bound"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")

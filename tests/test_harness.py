@@ -153,6 +153,8 @@ def test_every_config_key_sets_its_field():
     dict(sweep_seeds=(1, -1)),
     dict(n=5001, aug_k=2),                      # the unimodal oracle's guard
     dict(n=1001, algo="bimodal_sogclr"),        # the two-way oracle's guard
+    dict(n=714, aug_k=14),                      # K * n*K * m >= 2^19
+    dict(n=256, aug_k=32, m_embed=2),           # K * n*K * m == 2^19
 ])
 def test_validate_config_rejects(bad):
     """The error names the dotted key of a field the case sets."""
@@ -174,6 +176,9 @@ def test_validate_config_accepts_defaults():
     validate_config(RunConfig())
     validate_config(RunConfig(batch_size=64, n=32,
                               sampling="with_replacement"))
+    # Just below the oracle's tile bound, K * n*K * m < 2^19.
+    validate_config(RunConfig(n=714, aug_k=13))
+    validate_config(RunConfig(n=255, aug_k=32, m_embed=2))
 
 
 def assert_round_robin(points, clusters):
@@ -310,12 +315,11 @@ def test_identical_configs_yield_identical_metrics_files(tmp_path):
 def test_metrics_roundtrip(fmt, tmp_path):
     recs = [MetricsRecord(step=3, objective_value=-0.123456789012345,
                           oracle_grad_norm_sq=1e-7, u_tracking_mse=2.5,
-                          eps_sq_mean=0.001, wall_clock_ms=0.0)]
+                          eps_sq_mean=0.001, wall_clock_ms=0.0),
+            MetricsRecord(10, -0.0, 1e300, 5e-324, 1e16, 123.456)]
     path = str(tmp_path / ("m." + fmt))
     emit_metrics(recs, path, fmt)
-    back = read_metrics(path, fmt)
-    assert len(back) == 1
-    assert back[0] == recs[0]
+    assert read_metrics(path, fmt) == recs
 
 
 def test_metrics_rewrite_replaces_the_file(tmp_path):
@@ -391,6 +395,32 @@ def test_metrics_empty_and_errors(tmp_path):
         write_jsonl_row(**{key: raw})
         with pytest.raises(ValueError, match=re.escape(jl)):
             read_metrics(jl, "jsonl")
+
+
+def test_read_metrics_refuses_what_emit_metrics_never_writes(tmp_path):
+    """int and float read 1_0 as 10, 1_0.5 as 10.5 and ' 2.0' as 2.0, and
+    json keeps the last of a repeated key."""
+    csv_path = tmp_path / "m.csv"
+    header = ",".join(METRICS_COLUMNS) + "\n"
+    canonical = "1,0.5,2.0,0.0,1e-07,0.0"
+    csv_path.write_text(header + canonical + "\n")
+    assert read_metrics(str(csv_path)) == [
+        MetricsRecord(1, 0.5, 2.0, 0.0, 1e-07, 0.0)]
+    for row in ("1_0,0.5,2.0,0.0,1e-07,0.0", "1,1_0.5,2.0,0.0,1e-07,0.0",
+                "1,0.5, 2.0,0.0,1e-07,0.0", "1,0.5,2.0,0.0,1e-7,0.0",
+                "+1,0.5,2.0,0.0,1e-07,0.0", "1,0.50,2.0,0.0,1e-07,0.0"):
+        csv_path.write_text(header + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(csv_path))):
+            read_metrics(str(csv_path))
+    jl = tmp_path / "m.jsonl"
+    row = ", ".join(f'"{col}": 0.0' for col in METRICS_COLUMNS[1:])
+    for line in ('{"step": 1, ' + row + ', "extra": 0.0}',
+                 '{"step": 1, "step": 2, ' + row + '}',
+                 '{"step": 1, ' + row + ', "step": 1}',
+                 '[["step", 1]]'):
+        jl.write_text(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(jl))):
+            read_metrics(str(jl), "jsonl")
 
 
 def test_sweep_batch_size_aggregates(tmp_path):
@@ -501,6 +531,13 @@ def test_gradcheck_passes_on_small_instance():
     assert report.passed
     for check in report.checks:
         assert check.rel_err <= check.tol
+
+
+def test_gradcheck_passes_where_only_masked_masses_overflow():
+    """At tau = 1.4e-3 the in-batch kernel's masked self masses overflow,
+    and its member masses do not."""
+    with np.errstate(over="ignore"):
+        assert gradcheck(RunConfig(n=4, batch_size=4, tau=1.4e-3)).passed
 
 
 def test_gradcheck_guard_rejects_large_encoders():

@@ -11,7 +11,8 @@ from gcobench import (AugmentationFamily, Dataset, EncoderParams,
                       aug_consistency_eps, aug_consistency_eps_mean, encode,
                       finite_diff_grad, g_exact, g_minibatch, oracle_F,
                       oracle_value)
-from gcobench.objective import ORACLE_GUARD, VERSIONS
+from gcobench import objective
+from gcobench.objective import ORACLE_GUARD, TILE_GUARD, VERSIONS
 
 import reference
 from conftest import identical_instance, make_instance, orthogonal_instance
@@ -226,6 +227,20 @@ def test_oracle_refuses_oversized_instances():
         oracle_value(params, cfg, ds, fam)
     with pytest.raises(OracleSizeError):
         g_exact(params, cfg, 0, 0, ds, fam)
+
+
+@pytest.mark.parametrize("n, K, m", [(714, 14, 4), (256, 32, 2)])
+def test_oracle_refuses_one_sample_tiles_past_the_blas_bound(n, K, m,
+                                                             monkeypatch):
+    """From K * n*K * m = 2^19 on, one sample's tile products would be
+    threaded by OpenBLAS. The bound is 2^19 itself, not the tile budget,
+    which the tile tests shrink."""
+    assert K * n * K * m >= TILE_GUARD == 2 ** 19 and n * K <= ORACLE_GUARD
+    monkeypatch.setattr(objective, "_TILE_MADDS", 2 ** 30)
+    ds, fam, params, cfg = make_instance(n=n, K=K, m=m)
+    for run in (oracle_F, oracle_value):
+        with pytest.raises(OracleSizeError, match=str(K * n * K * m)):
+            run(params, cfg, ds, fam)
 
 
 @pytest.mark.parametrize("i, aug_k", [(-1, 0), (5, 0), (0, -1), (0, 2)])

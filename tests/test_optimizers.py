@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from gcobench import (GlobalObjectiveConfig, MiniBatch, NumericError,
-                      OptimizerState, StepReport, dcl_surrogate, encode,
-                      finite_diff_grad, flatten_params, g_exact,
-                      make_simclr_state, make_sogclr_state, oracle_F,
+                      OptimizerState, StepReport, batch_views, dcl_surrogate,
+                      encode, encode_batch, finite_diff_grad, flatten_params,
+                      g_exact, make_augmentation_family, make_simclr_state,
+                      make_sogclr_state, oracle_F,
                       sample_minibatch, simclr_batch_loss, simclr_estimator,
                       simclr_step, sogclr_estimator, sogclr_step,
                       sogclr_update_u)
 from gcobench import optimizers
 from gcobench.optimizers import ADAM_EPS
 
-from conftest import identical_instance, make_instance, orthogonal_instance
+from conftest import (identical_instance, make_instance, orthogonal_instance,
+                      traced_peak)
 
 
 def brute_batch_gbars(params, cfg, batch, ds, fam):
@@ -100,6 +102,48 @@ def test_batch_without_negatives_raises():
     batch = MiniBatch(indices=[1, 1], aug_a=[0, 1], aug_b=[1, 0])
     with pytest.raises(ValueError):
         simclr_estimator(params, cfg, batch, ds, fam)
+
+
+def test_overflowing_masked_entries_stay_out_of_the_batch():
+    """At tau = 1.4e-3 every view's similarity with itself over tau is
+    714.3, past exp's overflow at 709.78, while every member's stays below
+    it: masked masses are inf and member masses finite."""
+    ds, fam, params, cfg = make_instance(n=4, K=2, tau=1.4e-3, seed=0)
+    batch = MiniBatch(indices=[0, 1, 2, 3], aug_a=[0, 1, 0, 1],
+                      aug_b=[1, 0, 0, 1])
+    with np.errstate(over="ignore"):
+        E, _ = encode_batch(params, batch_views(ds, fam, batch))
+        same = np.tile(np.eye(4, dtype=bool), (2, 2))
+        masses = np.exp(E @ E.T / cfg.tau)
+        assert np.isinf(np.diag(masses)).all()
+        assert np.isfinite(masses[~same]).all()
+        stats = optimizers._batch_stats(params, cfg, batch, ds, fam)
+        gbar_a, gbar_b = brute_batch_gbars(params, cfg, batch, ds, fam)
+        np.testing.assert_allclose(stats.gbar, np.concatenate((gbar_a, gbar_b)),
+                                   rtol=1e-12)
+        assert np.isfinite(simclr_batch_loss(params, cfg, batch, ds, fam))
+        assert np.isfinite(simclr_estimator(params, cfg, batch, ds, fam)).all()
+        state = make_sogclr_state(4, flatten_params(params).shape[0], eta=0.1)
+        report = sogclr_estimator(state, params, cfg, batch, ds, fam)
+        assert np.isfinite(report.estimator).all()
+
+
+def test_batch_kernels_hold_two_square_arrays():
+    """At 2B = 512 one (2B, 2B) float64 array is 2 MiB. Each estimator holds
+    the masses and C + C^T, and no more than half a third array besides."""
+    n = 256
+    ds, fam, params, cfg = make_instance(n=n, K=2, d_in=4, m=4, seed=3)
+    batch = sample_minibatch(ds, fam, n, np.random.default_rng(0))
+    # The full-batch single-view estimator that gradcheck checks.
+    fam1 = make_augmentation_family(4, 1, 0.15, 4)
+    full = MiniBatch(indices=np.arange(n), aug_a=np.zeros(n, dtype=int),
+                     aug_b=np.zeros(n, dtype=int))
+    state = make_sogclr_state(n, flatten_params(params).shape[0], eta=0.1,
+                              gamma=1.0)
+    square = (2 * n) ** 2 * 8
+    for run in (lambda: simclr_estimator(params, cfg, batch, ds, fam),
+                lambda: sogclr_estimator(state, params, cfg, full, ds, fam1)):
+        assert traced_peak(run) < 2.5 * square
 
 
 def constant_report(value):

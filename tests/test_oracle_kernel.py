@@ -10,7 +10,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -30,7 +29,7 @@ from gcobench.harness import generate_synthetic
 from gcobench.objective import VERSIONS
 
 import reference
-from conftest import identical_instance, make_instance
+from conftest import identical_instance, make_instance, traced_peak
 
 REL = 1e-12
 
@@ -326,13 +325,7 @@ def test_memory_linear_in_views():
     _, _, params, cfg = make_instance(d_in=4, m=4, tau=0.2, seed=5)
     for run in (lambda: oracle_F(params, cfg, ds, fam),
                 lambda: aug_consistency_eps_mean(params, ds, fam)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert traced_peak(run) < 16 * 2 ** 20
 
 
 SMALL = RunConfig(n=8, batch_size=4, steps=5, aug_scale=0.4)
