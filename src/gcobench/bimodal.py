@@ -16,9 +16,10 @@ B rows and columns, with the stored per-sample statistics u_image, u_text in
 the two denominators. Batch masses average over the B in-batch candidates,
 again including the diagonal.
 
-The estimator consumes the statistics exactly as stored; whether they were
-refreshed from the current batch first is the step's choice (u_lag fresh vs
-lagged), mirroring the unimodal optimizer.
+twoway_estimator consumes the statistics exactly as stored. The step and
+twoway_update_u take theirs from OptimizerState.refresh, the u rule the
+unimodal optimizer uses too, with the (2, B) batch masses (row masses, then
+column masses) for the two rows of u.
 """
 
 from __future__ import annotations
@@ -186,35 +187,15 @@ def _batch_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
                               ds.image[idx], ds.text[idx])
 
 
-def _blend_u(state: OptimizerState, idx: np.ndarray,
-             stats: _PairStats) -> np.ndarray:
-    """u <- (1-gamma) u + gamma gbar(batch) on both sides, batch entries only;
-    returns the new (2, B) values. A repeated index keeps its last slot."""
-    u_new = ((1.0 - state.gamma) * state.u[:, idx]
-             + state.gamma * np.stack([stats.g_image, stats.g_text]))
-    state.u[:, idx] = u_new
-    return u_new
-
-
-def _estimate(params_image, params_text, cfg: GlobalObjectiveConfig,
-              state: OptimizerState, idx: np.ndarray,
-              stats: _PairStats) -> np.ndarray:
-    """Gradient estimate with the statistics exactly as stored in state."""
-    u = state.u[:, idx]
-    if np.any(u <= 0):
-        raise NumericError("nonpositive u statistic at use time "
-                           "(update u before estimating)")
-    return _pair_grad(params_image, params_text, stats,
-                      cfg.eps0 + u[0], cfg.eps0 + u[1])
-
-
 def twoway_update_u(state: OptimizerState, params_image, params_text,
                     cfg: GlobalObjectiveConfig, indices,
                     ds: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
     """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
-    only. Returns the new (u_image, u_text) values in slot order."""
+    only, under the state's u_lag rule (refresh). Returns the new (u_image,
+    u_text) values in slot order; a repeated index keeps its last slot."""
     idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    u_new = _blend_u(state, idx, stats)
+    _, u_new = state.refresh(idx, np.stack((stats.g_image, stats.g_text)))
+    state.u[:, idx] = u_new
     return u_new[0], u_new[1]
 
 
@@ -224,28 +205,23 @@ def twoway_estimator(state: OptimizerState, params_image, params_text,
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
     idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    return _estimate(params_image, params_text, cfg, state, idx, stats)
+    u = state.u[:, idx]
+    if np.any(u <= 0):
+        raise NumericError("nonpositive u statistic at use time "
+                           "(update u before estimating)")
+    return _pair_grad(params_image, params_text, stats,
+                      cfg.eps0 + u[0], cfg.eps0 + u[1])
 
 
 def twoway_step(state: OptimizerState, params_image, params_text,
                 cfg: GlobalObjectiveConfig, indices, ds: PairedDataset):
     """One optimizer step over both parameter blocks jointly, from one pass
-    over the batch.
-
-    Fresh mode refreshes u from this batch before forming the estimator;
-    lagged mode estimates with the previous u (seeding zero entries with the
-    current batch masses so the first step is well defined) and refreshes
-    afterwards.
-    """
+    over the batch: the denominators and new u of the state's u_lag rule
+    (refresh), the estimator, the stored u, then the step rule."""
     idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    if state.u_lag == "fresh":
-        _blend_u(state, idx, stats)
-        est = _estimate(params_image, params_text, cfg, state, idx, stats)
-    else:
-        u = state.u[:, idx]
-        state.u[:, idx] = np.where(u == 0, np.stack([stats.g_image,
-                                                     stats.g_text]), u)
-        est = _estimate(params_image, params_text, cfg, state, idx, stats)
-        _blend_u(state, idx, stats)
+    denom, u_new = state.refresh(idx, np.stack((stats.g_image, stats.g_text)))
+    est = _pair_grad(params_image, params_text, stats,
+                     cfg.eps0 + denom[0], cfg.eps0 + denom[1])
+    state.u[:, idx] = u_new
     w = state.apply(pair_to_flat(params_image, params_text), est)
     return flat_to_pair(params_image, params_text, w)

@@ -201,38 +201,51 @@ def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return _central_diff(f, np.asarray(x0, dtype=float).copy(), h)
 
 
+def _encoder_text(params: EncoderParams) -> str:
+    """Header line with architecture and shapes, then one flat value per
+    line, via repr."""
+    dims = ([params.d_in, params.m] if params.architecture == "linear"
+            else [params.d_in, params.W1.shape[0], params.m])
+    lines = [" ".join(map(str, [params.architecture, *dims])),
+             *map(repr, flatten_params(params).tolist())]
+    return "".join(line + "\n" for line in lines)
+
+
 def save_encoder(params: EncoderParams, path: str) -> None:
-    """Header line with architecture and shapes, then one flat value per line."""
+    """Write params as _encoder_text."""
     try:
-        with create_text(path) as fh:
-            if params.architecture == "linear":
-                fh.write(f"linear {params.d_in} {params.m}\n")
-            else:
-                fh.write(f"one_hidden {params.d_in} {params.W1.shape[0]} {params.m}\n")
-            for v in flatten_params(params):
-                fh.write(repr(float(v)) + "\n")
+        with create_text(path, newline="") as fh:
+            fh.write(_encoder_text(params))
     except OSError as exc:
         raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc
 
 
 def load_encoder(path: str) -> EncoderParams:
-    """Read a checkpoint written by save_encoder."""
+    """Read a checkpoint written by save_encoder. Any other text, even one
+    that parses to the same parameters, is a ValueError naming the path."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            lines = [line for line in fh if line.strip()]
-        if not header:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        if not lines:
             raise ValueError("empty file")
-        dims = [int(x) for x in header[1:]]
-        if header[0] == "linear":
+        arch, *dims = lines[0].split()
+        dims = [int(x) for x in dims]
+        if arch == "linear":
             d_in, m = dims
-            template = EncoderParams(architecture="linear", W1=np.zeros((m, d_in)))
-        elif header[0] == "one_hidden":
+            shapes = [(m, d_in)]
+        elif arch == "one_hidden":
             d_in, d_h, m = dims
-            template = EncoderParams(architecture="one_hidden",
-                                     W1=np.zeros((d_h, d_in)), W2=np.zeros((m, d_h)))
+            shapes = [(d_h, d_in), (m, d_h)]
         else:
-            raise ValueError(f"unknown architecture in header: {header[0]!r}")
-        return unflatten_params(template, np.array([float(v) for v in lines]))
+            raise ValueError(f"unknown architecture in header: {arch!r}")
+        vec = np.array([float(v) for v in lines[1:]])
+        # Counted before the template is allocated: a header can claim any size.
+        if vec.shape[0] != sum(a * b for a, b in shapes):
+            raise ValueError(f"{vec.shape[0]} values for the shapes {shapes}")
+        params = unflatten_params(EncoderParams(arch, *map(np.zeros, shapes)), vec)
+        if text != _encoder_text(params):
+            raise ValueError("not the text save_encoder writes for its parameters")
+        return params
     except ValueError as exc:
         raise ValueError(f"bad encoder checkpoint {path}: {exc}") from exc

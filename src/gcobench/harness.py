@@ -700,67 +700,51 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     return GradcheckReport(checks=tuple(checks))
 
 
+def _metrics_text(records, fmt: str) -> str:
+    """The text of a metrics file: a CSV header and rows, or one JSON object
+    a line, in the documented column order, floats via repr."""
+    rows = [astuple(r) for r in records]
+    if fmt == "csv":
+        lines = [",".join(METRICS_COLUMNS)]
+        lines += [",".join([str(step), *map(repr, values)])
+                  for step, *values in rows]
+    else:
+        lines = [json.dumps(dict(zip(METRICS_COLUMNS, row))) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def emit_metrics(records, path: str, fmt: str = "csv") -> None:
-    """Write records in the documented column order; floats via repr so the
-    file round-trips exactly."""
+    """Write records as _metrics_text; the file round-trips exactly."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
-    rows = [astuple(r) for r in records]
+    text = _metrics_text(records, fmt)
     try:
         with create_text(path, newline="") as fh:
-            if fmt == "csv":
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(METRICS_COLUMNS)
-                writer.writerows([step, *map(repr, values)]
-                                 for step, *values in rows)
-            else:
-                for row in rows:
-                    fh.write(json.dumps(dict(zip(METRICS_COLUMNS, row))) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
 
-def _jsonl_row(line: str) -> list:
-    """A JSONL row's values. Objects decode to tuples of pairs, which keep a
-    repeated key that a dict would drop and which no JSON array becomes."""
-    pairs = json.loads(line, object_pairs_hook=tuple)
-    if type(pairs) is not tuple or tuple(k for k, _ in pairs) != METRICS_COLUMNS:
-        raise ValueError(f"keys are not the columns in {line.strip()}")
-    return [v for _, v in pairs]
-
-
 def read_metrics(path: str, fmt: str = "csv"):
-    """Parse a metrics file written by emit_metrics. What it cannot write is a
-    ValueError: a non-finite value, a step that is not an integer, a CSV
-    field that is not repr of its value, or a JSONL row whose keys are not
-    the columns in order, each once."""
+    """Parse a metrics file written by emit_metrics. Any other text is a
+    ValueError naming the path: a non-finite value, or a file that is not
+    _metrics_text of the records it parses to."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
-    records = []
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            if fmt == "csv":
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header != list(METRICS_COLUMNS):
-                    raise ValueError(f"unexpected header {header}")
-                rows = reader
-            else:
-                rows = (_jsonl_row(line) for line in fh if line.strip())
-            for row in rows:
-                step, *values = row
-                # json reads a step of 1.7 and a value of true, which int and
-                # float would make 1 and 1.0.
-                if fmt == "jsonl" and (type(step) is not int or any(
-                        type(v) not in (int, float) for v in values)):
-                    raise ValueError(f"wrong types in {row}")
-                parsed = [int(step), *map(float, values)]
-                if not all(map(math.isfinite, parsed[1:])):
-                    raise ValueError(f"non-finite value in {row}")
-                # int and float also read 1_0, 1_0.5 and ' 2.0'.
-                if fmt == "csv" and list(map(repr, parsed)) != row:
-                    raise ValueError(f"a field is not repr of its value in {row}")
-                records.append(MetricsRecord(*parsed))
-    except (TypeError, ValueError) as exc:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        if fmt == "csv":
+            rows = [line.split(",") for line in lines[1:]]
+        else:
+            rows = [list(dict(json.loads(line)).values()) for line in lines]
+        records = [MetricsRecord(int(step), *map(float, values))
+                   for step, *values in rows]
+        if not all(math.isfinite(v) for r in records for v in astuple(r)):
+            raise ValueError("a non-finite value")
+        if text != _metrics_text(records, fmt):
+            raise ValueError("not the text emit_metrics writes for its records")
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"bad metrics file {path}: {exc!r}") from exc
     return records

@@ -21,13 +21,12 @@ averaged over slots, where the denominators D depend on the method:
   sogclr lagged: D = u_prev for both views (cold entries seeded with the
                  first batch estimate so no division by zero occurs)
 
-The batch kernel computes all 2B anchor views as one stacked block: gbar and
-D are (2B,) vectors, with the first views' values in the first half.
-
-The stored statistic after a sogclr step is (u1 + u2)/2, i.e.
-u <- (1-gamma) u + gamma (gbar_a + gbar_b)/2. With gamma = 1 the fresh mode
-reproduces the simclr denominators exactly, so sogclr(gamma=1, beta=1)
-degenerates to simclr(beta=1) bit for bit.
+The batch kernel computes all 2B anchor views as one stacked block, with the
+first views' values in the first half. OptimizerState.refresh, the u rule
+this objective shares with the bimodal one, gives the sogclr D and the
+stored statistic (u1 + u2)/2 = (1-gamma) u + gamma (gbar_a + gbar_b)/2. With
+gamma = 1 the fresh mode reproduces the simclr denominators exactly, so
+sogclr(gamma=1, beta=1) degenerates to simclr(beta=1) bit for bit.
 """
 
 from __future__ import annotations
@@ -100,6 +99,29 @@ class OptimizerState:
     @property
     def u_text(self) -> np.ndarray:
         return self.u[1]
+
+    def refresh(self, idx: np.ndarray, g: np.ndarray):
+        """The u rule of both objectives for one batch, without storing.
+
+        g is the (2, B) batch masses: a slot's two views, or a pair's image
+        and text sides. Returns the (2, B) denominators and the u values to
+        store at idx. Fresh divides by u' = (1-gamma) u + gamma g; lagged by
+        u, cold (zero) entries seeded with the target g, blended in after.
+        A shared u (ndim 1) stores the rows' average, and lagged averages g.
+        """
+        u_prev = self.u.take(idx, axis=-1)
+        shared = self.u.ndim == 1
+        if self.u_lag == "fresh":
+            denom = (1.0 - self.gamma) * u_prev + self.gamma * g
+            u_new = 0.5 * (denom[0] + denom[1]) if shared else denom
+        else:
+            target = 0.5 * (g[0] + g[1]) if shared else g
+            seeded = np.where(u_prev > 0, u_prev, target)
+            u_new = (1.0 - self.gamma) * seeded + self.gamma * target
+            denom = np.array((seeded, seeded)) if shared else seeded
+        if (denom <= 0).any():
+            raise NumericError("nonpositive u statistic at use time")
+        return denom, u_new
 
     def apply(self, w: np.ndarray, est: np.ndarray) -> np.ndarray:
         """One step of the configured rule from flat parameters w along the
@@ -191,12 +213,12 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
                         denom: np.ndarray) -> np.ndarray:
-    """The estimator for the 2B denominators denom. Consumes stats.P: the
-    contrast matrix C is written over it, and C + C^T is the one other
-    (2B, 2B) array."""
+    """The estimator for the 2B denominators denom, stacked (2B,) or (2, B).
+    Consumes stats.P: the contrast matrix C is written over it, and C + C^T
+    is the one other (2B, 2B) array."""
     B = stats.cnt.shape[0] // 2
     C = stats.P
-    C /= (cfg.eps0 + denom)[:, None] * stats.cnt[:, None] * 2 * B
+    C /= (cfg.eps0 + denom).reshape(-1, 1) * stats.cnt[:, None] * 2 * B
     sl = np.arange(B)
     C[sl, B + sl] = -1.0 / B
     cot = (C + C.T) @ stats.E
@@ -231,26 +253,6 @@ def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     return encoder.unflatten_params(params, w)
 
 
-def _sogclr_denoms(state: OptimizerState, stats: _BatchStats, batch: MiniBatch):
-    """Estimator denominators of the 2B anchor views and the post-update
-    stored u values of the B slots."""
-    B = batch.B
-    u_prev = state.u[batch.indices]
-    if state.u_lag == "fresh":
-        # u1 (first views) and u2 (second views), stacked.
-        denom = ((1.0 - state.gamma) * np.concatenate((u_prev, u_prev))
-                 + state.gamma * stats.gbar)
-        u_new = 0.5 * (denom[:B] + denom[B:])
-    else:
-        est = 0.5 * (stats.gbar[:B] + stats.gbar[B:])
-        seeded = np.where(u_prev > 0, u_prev, est)   # cold entries take the batch estimate
-        denom = np.concatenate((seeded, seeded))
-        u_new = (1.0 - state.gamma) * seeded + state.gamma * est
-    if (denom <= 0).any():
-        raise NumericError("nonpositive u statistic at use time (update ordering bug)")
-    return denom, u_new
-
-
 def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                     batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> np.ndarray:
     """u_i <- (1-gamma) u_i + gamma (gbar_a + gbar_b)/2 for batch members only.
@@ -259,7 +261,7 @@ def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     with-replacement batch repeats an index, the last slot's value wins.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    _, u_new = _sogclr_denoms(state, stats, batch)
+    _, u_new = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
     state.u[batch.indices] = u_new
     return u_new
 
@@ -278,7 +280,7 @@ def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                      fam: AugmentationFamily) -> StepReport:
     """Moving-average-corrected gradient estimate m_t. Does not mutate state."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom, u_new = _sogclr_denoms(state, stats, batch)
+    denom, u_new = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
     est = _assemble_estimator(params, cfg, stats, denom)
     return StepReport(estimator=est, u_batch_values=u_new)
 
@@ -293,9 +295,9 @@ def dcl_surrogate(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     estimator m_t of sogclr_estimator for the same state and batch.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom, _ = _sogclr_denoms(state, stats, batch)
+    denom, _ = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
     W = stats.P
-    W /= (cfg.eps0 + denom)[:, None]
+    W /= (cfg.eps0 + denom).reshape(-1, 1)
     cnt = stats.cnt
     X = stats.cache.X
     value = _surrogate_value(stats.E @ stats.E.T, W, cnt)

@@ -125,6 +125,27 @@ def test_twoway_update_u_matches_brute_force():
     assert state.u_image[0] == 0.3 and state.u_text[0] == 0.7
 
 
+def test_twoway_update_u_honours_u_lag():
+    # Lagged, as in twoway_step: a cold entry takes the batch mass itself,
+    # and a warm one blends it in.
+    pds, pi, pt, cfg = make_paired_instance(n=6, seed=4, tau=0.3)
+    idx = np.array([1, 4, 5])
+    state = make_bimodal_state(6, 10, eta=0.1, gamma=0.4, u_lag="lagged")
+    state.u[:, 5] = 0.3, 0.7
+    EI = [encode(pi, pds.image[i]) for i in idx]
+    ET = [encode(pt, pds.text[j]) for j in idx]
+    S = np.array([[float(a @ b) for b in ET] for a in EI])
+    g_img = np.exp(S / cfg.tau).mean(axis=1)
+    g_txt = np.exp(S / cfg.tau).mean(axis=0)
+    u_i, u_t = twoway_update_u(state, pi, pt, cfg, idx, pds)
+    np.testing.assert_allclose(u_i[:2], g_img[:2], rtol=1e-12)
+    np.testing.assert_allclose(u_t[:2], g_txt[:2], rtol=1e-12)
+    np.testing.assert_allclose([u_i[2], u_t[2]],
+                               [0.6 * 0.3 + 0.4 * g_img[2],
+                                0.6 * 0.7 + 0.4 * g_txt[2]], rtol=1e-12)
+    np.testing.assert_array_equal(state.u[:, idx], [u_i, u_t])
+
+
 def test_twoway_kernels_hold_two_square_arrays():
     """At n = 512 one n x n float64 array is 2 MiB. The estimator and the
     oracle hold the masses and the grid of reciprocal sums, and no more than

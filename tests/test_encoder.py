@@ -153,12 +153,26 @@ def test_encoder_checkpoint_roundtrip(arch, tmp_path):
 
 
 def test_load_encoder_rejects_bad_files(tmp_path):
-    """Each error names the file."""
+    """Each error names the file. Sizes past memory are refused before
+    anything of that size is allocated. int and float read the last six
+    files, but save_encoder would write the parameters they give as other
+    text."""
     bad = tmp_path / "bad.txt"
+    save_encoder(init_encoder("linear", 2, 2, seed=1), str(bad))
+    head, first, *rest = bad.read_text().splitlines(keepends=True)
+    rest = "".join(rest)
     for text in ("resnet 3 4\n0.0\n",              # unknown architecture
                  "",                                # empty file
                  "linear 4\n0.0\n",                 # header without sizes
-                 "linear 4 3\n" + "0.5\n" * 11):    # one value short
+                 "linear 4 3\n" + "0.5\n" * 11,     # one value short
+                 "linear 100000000000 3\n0.5\n",    # sizes past memory
+                 head + first + "\n" + rest,        # a blank line
+                 head + "1_0\n" + rest,
+                 head + " " + first + rest,         # a leading space
+                 head + "+0.5\n" + rest,
+                 head.replace(" ", "  ", 1) + first + rest,
+                 (head + first + rest).replace("\n", "\r\n")):
         bad.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(bad))):
             load_encoder(str(bad))
+

@@ -421,6 +421,15 @@ def test_read_metrics_refuses_what_emit_metrics_never_writes(tmp_path):
         jl.write_text(line + "\n")
         with pytest.raises(ValueError, match=re.escape(str(jl))):
             read_metrics(str(jl), "jsonl")
+    # json reads 1e-7, 2 and 0.50 as 1e-07, 2.0 and 0.5, which is how
+    # emit_metrics writes them; float cannot take an integer past its range.
+    canonical = '{"step": 1, ' + row.replace("0.0", "1e-07", 1) + "}\n"
+    jl.write_text(canonical)
+    assert read_metrics(str(jl), "jsonl")[0].objective_value == 1e-07
+    for value in ("1e-7", "2", "0.50", "1" + "0" * 400):
+        jl.write_text(canonical.replace("1e-07", value))
+        with pytest.raises(ValueError, match=re.escape(str(jl))):
+            read_metrics(str(jl), "jsonl")
 
 
 def test_sweep_batch_size_aggregates(tmp_path):

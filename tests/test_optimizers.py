@@ -286,6 +286,44 @@ def test_dcl_surrogate_gradient_equals_estimator(u_lag):
     assert err < 1e-8
 
 
+@pytest.mark.parametrize("u_lag", ("fresh", "lagged"))
+@pytest.mark.parametrize("rows", (1, 2), ids=("u_n", "u_2n"))
+def test_refresh_matches_hand_formulas(rows, u_lag):
+    """The one u rule, slot by slot: fresh divides by the blend, lagged by
+    the stored u (a cold entry by the target) and blends afterwards. A
+    shared u averages the rows; a repeated index stores its last slot."""
+    gamma = 0.3
+    u0 = np.array([0.0, 0.5, 0.0, 2.0, 1.5])            # 0 and 2 are cold
+    u = u0 if rows == 1 else np.stack((u0, 3.0 * u0))
+    state = OptimizerState(eta=0.1, gamma=gamma, u_lag=u_lag, u=u)
+    idx = np.array([0, 1, 3, 3, 2])
+    g = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 2.5, 3.5, 6.5]])
+    denom, u_new = state.refresh(idx, g)
+    np.testing.assert_array_equal(state.u, u)           # refresh stores nothing
+    assert denom.shape == (2, 5) and u_new.shape == u[..., idx].shape
+    for t, i in enumerate(idx):
+        prev = [u0[i]] * 2 if rows == 1 else [u0[i], 3.0 * u0[i]]
+        target = ([(g[0, t] + g[1, t]) / 2] * 2 if rows == 1
+                  else [g[0, t], g[1, t]])
+        if u_lag == "fresh":
+            want = [(1 - gamma) * prev[r] + gamma * g[r, t] for r in (0, 1)]
+            stored = want
+        else:
+            want = [prev[r] if prev[r] > 0 else target[r] for r in (0, 1)]
+            stored = [(1 - gamma) * want[r] + gamma * target[r]
+                      for r in (0, 1)]
+        np.testing.assert_allclose(denom[:, t], want, rtol=1e-15)
+        got = u_new[t] if rows == 1 else u_new[:, t]
+        want_u = (stored[0] + stored[1]) / 2 if rows == 1 else stored
+        np.testing.assert_allclose(got, want_u, rtol=1e-15)
+    state.u[..., idx] = u_new
+    np.testing.assert_array_equal(state.u[..., 3], u_new[..., 3])
+    assert np.all(u_new[..., 2] != u_new[..., 3])
+    with pytest.raises(NumericError, match="nonpositive"):
+        OptimizerState(eta=0.1, u_lag=u_lag, u=np.zeros_like(u)).refresh(
+            idx, np.zeros((2, 5)))
+
+
 def test_lagged_cold_start_seeds_with_batch_estimate():
     ds, fam, params, cfg = make_instance(n=6, K=2, seed=12, tau=0.3)
     batch = MiniBatch(indices=[0, 2, 4], aug_a=[0, 1, 1], aug_b=[1, 0, 1])
