@@ -19,7 +19,7 @@ again including the diagonal.
 twoway_estimator consumes the statistics exactly as stored. The step and
 twoway_update_u take theirs from OptimizerState.refresh, the u rule the
 unimodal optimizer uses too, with the (2, B) batch masses (row masses, then
-column masses) for the two rows of u.
+column masses) of _paired_stats, the kernel the oracle runs over all n pairs.
 """
 
 from __future__ import annotations
@@ -102,40 +102,45 @@ def flat_to_pair(params_image, params_text, vec: np.ndarray):
 
 @dataclass
 class _PairStats:
+    idx: np.ndarray         # the batch's dataset indices
     EI: np.ndarray
     ET: np.ndarray
     cache_image: object
     cache_text: object
     trace: float            # sum of the pairs' own scores S_ii
     expS: np.ndarray        # exp(S / tau); _pair_grad overwrites it
-    g_image: np.ndarray     # row masses over the candidates present
-    g_text: np.ndarray      # column masses
+    g: np.ndarray           # (2, B) row masses, then column masses
 
 
 def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
-                  X_image: np.ndarray, X_text: np.ndarray) -> _PairStats:
-    EI, cache_i = encoder.encode_batch(params_image, X_image)
-    ET, cache_t = encoder.encode_batch(params_text, X_text)
+                  indices, ds: PairedDataset) -> _PairStats:
+    """The batch kernel: statistics of the pairs ds[indices] in that order."""
+    idx = np.asarray(indices, dtype=int)
+    if idx.ndim != 1 or idx.shape[0] < 2:
+        raise ValueError("a bimodal batch needs at least 2 indices")
+    EI, cache_i = encoder.encode_batch(params_image, ds.image[idx])
+    ET, cache_t = encoder.encode_batch(params_text, ds.text[idx])
     expS = EI @ ET.T
     trace = np.trace(expS)
     np.divide(expS, cfg.tau, out=expS)
     np.exp(expS, out=expS)
-    return _PairStats(EI=EI, ET=ET, cache_image=cache_i, cache_text=cache_t,
-                      trace=trace, expS=expS,
-                      g_image=expS.mean(axis=1), g_text=expS.mean(axis=0))
+    g = np.array((expS.mean(axis=1), expS.mean(axis=0)))
+    return _PairStats(idx=idx, EI=EI, ET=ET, cache_image=cache_i,
+                      cache_text=cache_t, trace=trace, expS=expS, g=g)
 
 
-def _pair_grad(params_image, params_text, stats: _PairStats,
-               denom_image: np.ndarray, denom_text: np.ndarray) -> np.ndarray:
+def _pair_grad(params_image, params_text, cfg: GlobalObjectiveConfig,
+               stats: _PairStats, denom: np.ndarray) -> np.ndarray:
     """Gradient over concatenated (image, text) parameters of the two-way
-    expression over the rows of stats, with the given row and column
-    denominators eps0 + (mass or statistic). Consumes stats.expS: the
-    contrast matrix is written over it, and the grid of reciprocal sums is
-    the one other B x B array."""
+    expression over the rows of stats, with row and column denominators
+    eps0 + denom, denom (2, B) masses or statistics. Consumes stats.expS:
+    the contrast matrix is written over it, and the grid of reciprocal sums
+    is the one other B x B array."""
     B = stats.expS.shape[0]
+    d = cfg.eps0 + denom
     C = stats.expS
     C /= B ** 2
-    C *= 1.0 / denom_image[:, None] + 1.0 / denom_text[None, :]
+    C *= 1.0 / d[0][:, None] + 1.0 / d[1][None, :]
     sl = np.arange(B)
     C[sl, sl] -= 2.0 / B
     grad_i = encoder.backward_batch(params_image, stats.cache_image,
@@ -152,16 +157,15 @@ def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
         raise OracleSizeError(
             f"two-way oracle enumeration over n = {n} exceeds the guard "
             f"({TWOWAY_ORACLE_GUARD})")
-    stats = _paired_stats(params_image, params_text, cfg, ds.image, ds.text)
-    di = cfg.eps0 + stats.g_image
-    dt = cfg.eps0 + stats.g_text
+    stats = _paired_stats(params_image, params_text, cfg, np.arange(n), ds)
+    d = cfg.eps0 + stats.g
     value = float(-2.0 * stats.trace / n
-                  + cfg.tau * np.mean(np.log(di))
-                  + cfg.tau * np.mean(np.log(dt)))
-    grad = (_pair_grad(params_image, params_text, stats, di, dt)
+                  + cfg.tau * np.mean(np.log(d[0]))
+                  + cfg.tau * np.mean(np.log(d[1])))
+    grad = (_pair_grad(params_image, params_text, cfg, stats, stats.g)
             if want_grad else None)
     return TwowayOracleResult(value=value, grad=grad,
-                              g_image=stats.g_image, g_text=stats.g_text)
+                              g_image=stats.g[0], g_text=stats.g[1])
 
 
 def twoway_oracle_F(params_image, params_text, cfg: GlobalObjectiveConfig,
@@ -177,25 +181,15 @@ def twoway_oracle_value(params_image, params_text, cfg: GlobalObjectiveConfig,
                         want_grad=False).value
 
 
-def _batch_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
-                 indices, ds: PairedDataset) -> tuple[np.ndarray, _PairStats]:
-    """The batch's indices as an array, and the paired statistics of its rows."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.shape[0] < 2:
-        raise ValueError("a bimodal batch needs at least 2 indices")
-    return idx, _paired_stats(params_image, params_text, cfg,
-                              ds.image[idx], ds.text[idx])
-
-
 def twoway_update_u(state: OptimizerState, params_image, params_text,
                     cfg: GlobalObjectiveConfig, indices,
                     ds: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
     """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
     only, under the state's u_lag rule (refresh). Returns the new (u_image,
     u_text) values in slot order; a repeated index keeps its last slot."""
-    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    _, u_new = state.refresh(idx, np.stack((stats.g_image, stats.g_text)))
-    state.u[:, idx] = u_new
+    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
+    _, u_new = state.refresh(stats.idx, stats.g)
+    state.u[:, stats.idx] = u_new
     return u_new[0], u_new[1]
 
 
@@ -204,13 +198,12 @@ def twoway_estimator(state: OptimizerState, params_image, params_text,
                      ds: PairedDataset) -> np.ndarray:
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
-    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    u = state.u[:, idx]
+    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
+    u = state.u[:, stats.idx]
     if np.any(u <= 0):
         raise NumericError("nonpositive u statistic at use time "
                            "(update u before estimating)")
-    return _pair_grad(params_image, params_text, stats,
-                      cfg.eps0 + u[0], cfg.eps0 + u[1])
+    return _pair_grad(params_image, params_text, cfg, stats, u)
 
 
 def twoway_step(state: OptimizerState, params_image, params_text,
@@ -218,10 +211,9 @@ def twoway_step(state: OptimizerState, params_image, params_text,
     """One optimizer step over both parameter blocks jointly, from one pass
     over the batch: the denominators and new u of the state's u_lag rule
     (refresh), the estimator, the stored u, then the step rule."""
-    idx, stats = _batch_stats(params_image, params_text, cfg, indices, ds)
-    denom, u_new = state.refresh(idx, np.stack((stats.g_image, stats.g_text)))
-    est = _pair_grad(params_image, params_text, stats,
-                     cfg.eps0 + denom[0], cfg.eps0 + denom[1])
-    state.u[:, idx] = u_new
+    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
+    denom, u_new = state.refresh(stats.idx, stats.g)
+    est = _pair_grad(params_image, params_text, cfg, stats, denom)
+    state.u[:, stats.idx] = u_new
     w = state.apply(pair_to_flat(params_image, params_text), est)
     return flat_to_pair(params_image, params_text, w)

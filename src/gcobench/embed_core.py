@@ -95,6 +95,8 @@ class MiniBatch:
             raise ValueError("a mini-batch needs at least 2 indices")
         if a.shape != idx.shape or b.shape != idx.shape:
             raise ValueError("aug_a and aug_b must match indices in length")
+        if idx.min() < 0:
+            raise ValueError("mini-batch indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "aug_a", a)
         object.__setattr__(self, "aug_b", b)

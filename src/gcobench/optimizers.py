@@ -182,7 +182,7 @@ class _BatchStats:
     pos: np.ndarray             # (B,) positive-pair similarities
     P: np.ndarray               # (2B, 2B) exp(sim/tau) on member slots, else 0
     cnt: np.ndarray             # (2B,) member counts |B_t|
-    gbar: np.ndarray            # (2B,) averaged in-batch masses
+    gbar: np.ndarray            # (2, B) averaged in-batch masses
 
 
 def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
@@ -208,12 +208,12 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     np.copyto(P.reshape(2, B, 2, B), 0.0, where=~member[:, None, :])
     cnt = 2 * np.concatenate((half, half))
     return _BatchStats(E=E, cache=cache, pos=pos, P=P, cnt=cnt,
-                       gbar=P.sum(axis=1) / cnt)
+                       gbar=(P.sum(axis=1) / cnt).reshape(2, B))
 
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
                         denom: np.ndarray) -> np.ndarray:
-    """The estimator for the 2B denominators denom, stacked (2B,) or (2, B).
+    """The estimator for the (2, B) denominators denom.
     Consumes stats.P: the contrast matrix C is written over it, and C + C^T
     is the one other (2B, 2B) array."""
     B = stats.cnt.shape[0] // 2
@@ -239,9 +239,8 @@ def simclr_batch_loss(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     (1/B) sum_t [ -sim(pos_t) + 1/2 (f(gbar_a[t]) + f(gbar_b[t])) ]
     with f(g) = tau ln(eps0 + g)."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    B = batch.B
     f = cfg.tau * np.log(cfg.eps0 + stats.gbar)
-    return float(np.mean(-stats.pos + 0.5 * (f[:B] + f[B:])))
+    return float(np.mean(-stats.pos + 0.5 * (f[0] + f[1])))
 
 
 def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -261,7 +260,7 @@ def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     with-replacement batch repeats an index, the last slot's value wins.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    _, u_new = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
+    _, u_new = state.refresh(batch.indices, stats.gbar)
     state.u[batch.indices] = u_new
     return u_new
 
@@ -280,7 +279,7 @@ def sogclr_estimator(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
                      fam: AugmentationFamily) -> StepReport:
     """Moving-average-corrected gradient estimate m_t. Does not mutate state."""
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom, u_new = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
+    denom, u_new = state.refresh(batch.indices, stats.gbar)
     est = _assemble_estimator(params, cfg, stats, denom)
     return StepReport(estimator=est, u_batch_values=u_new)
 
@@ -295,7 +294,7 @@ def dcl_surrogate(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     estimator m_t of sogclr_estimator for the same state and batch.
     """
     stats = _batch_stats(params, cfg, batch, ds, fam)
-    denom, _ = state.refresh(batch.indices, stats.gbar.reshape(2, -1))
+    denom, _ = state.refresh(batch.indices, stats.gbar)
     W = stats.P
     W /= (cfg.eps0 + denom).reshape(-1, 1)
     cnt = stats.cnt

@@ -32,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from gcobench import encoder
-from gcobench.bimodal import (PairedDataset, _paired_stats, flat_to_pair,
-                              pair_to_flat)
+from gcobench.bimodal import PairedDataset, flat_to_pair, pair_to_flat
 from gcobench.embed_core import (SAMPLING_MODES, AugmentationFamily, Dataset,
                                  MiniBatch, all_views, apply_augmentation)
 from gcobench.encoder import (DegenerateEmbeddingError, EncoderParams,
@@ -344,6 +343,31 @@ class BimodalState:
             setattr(self, name, u)
         if self.u_image.shape != self.u_text.shape:
             raise ValueError("u_image and u_text must have the same length")
+
+
+@dataclass
+class _PairStats:
+    EI: np.ndarray
+    ET: np.ndarray
+    cache_image: object
+    cache_text: object
+    trace: float            # sum of the pairs' own scores S_ii
+    expS: np.ndarray        # exp(S / tau); _pair_grad overwrites it
+    g_image: np.ndarray     # row masses over the candidates present
+    g_text: np.ndarray      # column masses
+
+
+def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
+                  X_image: np.ndarray, X_text: np.ndarray) -> _PairStats:
+    EI, cache_i = encoder.encode_batch(params_image, X_image)
+    ET, cache_t = encoder.encode_batch(params_text, X_text)
+    expS = EI @ ET.T
+    trace = np.trace(expS)
+    np.divide(expS, cfg.tau, out=expS)
+    np.exp(expS, out=expS)
+    return _PairStats(EI=EI, ET=ET, cache_image=cache_i, cache_text=cache_t,
+                      trace=trace, expS=expS,
+                      g_image=expS.mean(axis=1), g_text=expS.mean(axis=0))
 
 
 def make_bimodal_state(n: int, d: int, eta: float, gamma: float = 0.8,

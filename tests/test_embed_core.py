@@ -61,6 +61,10 @@ def test_minibatch_validation():
         MiniBatch(indices=[0], aug_a=[0], aug_b=[0])
     with pytest.raises(ValueError):
         MiniBatch(indices=[0, 1], aug_a=[0], aug_b=[0, 1])
+    # numpy would wrap -1 to the last sample, and masking by index value
+    # would then let sample n - 1 be its own negative.
+    with pytest.raises(ValueError, match="nonnegative"):
+        MiniBatch(indices=[-1, 3], aug_a=[0, 1], aug_b=[1, 0])
 
 
 def test_index_sampler_epoch_shuffle_is_permutation_with_carry():

@@ -229,9 +229,9 @@ def test_blas_calls_stay_under_the_bound(n, K, m, arch, monkeypatch):
 _ORACLE_HASH = """
 import hashlib
 import numpy as np
-from gcobench import make_augmentation_family, oracle_F
+from gcobench import make_augmentation_family, oracle_F, twoway_oracle_F
 from gcobench.harness import generate_synthetic
-from conftest import make_instance
+from conftest import make_instance, make_paired_instance
 ds = generate_synthetic(2500, 4, 4, 3.0, 7)
 fam = make_augmentation_family(4, 3, 0.5, 11)
 _, _, params, cfg = make_instance(d_in=4, m=8, arch="one_hidden", tau=0.2,
@@ -239,11 +239,18 @@ _, _, params, cfg = make_instance(d_in=4, m=8, arch="one_hidden", tau=0.2,
 res = oracle_F(params, cfg, ds, fam)
 out = [res.grad, res.per_sample_g, np.array([res.value, res.eps_sq_mean])]
 print(hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest())
+pds, pi, pt, cfg = make_paired_instance(n=362, m=4, arch="one_hidden", seed=5)
+res = twoway_oracle_F(pi, pt, cfg, pds)
+out = [res.grad, res.g_image, res.g_text, np.array([res.value])]
+print(hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest())
 """
 
 
 def test_oracle_bits_do_not_depend_on_blas_threads():
-    """The same bytes with BLAS on one thread and on two."""
+    """The same bytes with BLAS on one thread and on two, from the unimodal
+    oracle and from the two-way one at n = 362, m = 4: the largest n whose
+    n x n x m products stay below the 2^19 multiply-adds OpenBLAS runs on
+    one thread. At n = 363 the two-way bits differ."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here,
                             os.environ.get("PYTHONPATH", "")])
