@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
+from .embed_core import index_array, row_array
 from .objective import GlobalObjectiveConfig, OracleSizeError
 from .optimizers import NumericError, OptimizerState
 
@@ -44,18 +45,10 @@ class PairedDataset:
     text: np.ndarray
 
     def __post_init__(self):
-        image = np.asarray(self.image, dtype=float)
-        text = np.asarray(self.text, dtype=float)
-        if image.ndim != 2 or text.ndim != 2:
-            raise ValueError("paired sides must be 2-d arrays")
-        if image.shape[0] != text.shape[0]:
+        object.__setattr__(self, "image", row_array("image", self.image, 2))
+        object.__setattr__(self, "text", row_array("text", self.text, 2))
+        if self.image.shape[0] != self.text.shape[0]:
             raise ValueError("paired sides must have the same number of rows")
-        if image.shape[0] < 2:
-            raise ValueError("a paired dataset needs at least 2 pairs")
-        if not (np.isfinite(image).all() and np.isfinite(text).all()):
-            raise ValueError("paired entries must be finite")
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "text", text)
 
     @property
     def n(self) -> int:
@@ -115,9 +108,7 @@ class _PairStats:
 def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
                   indices, ds: PairedDataset) -> _PairStats:
     """The batch kernel: statistics of the pairs ds[indices] in that order."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.shape[0] < 2:
-        raise ValueError("a bimodal batch needs at least 2 indices")
+    idx = index_array("indices", indices, 2)
     EI, cache_i = encoder.encode_batch(params_image, ds.image[idx])
     ET, cache_t = encoder.encode_batch(params_text, ds.text[idx])
     expS = EI @ ET.T

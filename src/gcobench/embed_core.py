@@ -14,6 +14,38 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def row_array(name: str, values, min_rows: int) -> np.ndarray:
+    """values as a finite 2-d float array of at least min_rows rows."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 2 or a.shape[0] < min_rows:
+        raise ValueError(f"{name} must be a 2-d array of {min_rows} or more "
+                         f"rows")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def index_array(name: str, values, min_len: int, ndim: int = 1) -> np.ndarray:
+    """values as an int array of ndim axes, the last at least min_len long,
+    of nonnegative integers. numpy would truncate a float index and wrap a
+    negative one: the wrong sample's u written, the wrong negatives masked."""
+    a = np.asarray(values)
+    if a.ndim != ndim or a.shape[-1] < min_len:
+        raise ValueError(f"{name} must be a {ndim}-d array of {min_len} or "
+                         f"more entries")
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {a.dtype}")
+    if a.min() < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return a.astype(int, copy=False)
+
+
+def check_index(what: str, j: int, size: int) -> None:
+    """Refuse a scalar index outside [0, size)."""
+    if not 0 <= j < size:
+        raise IndexError(f"{what} index {j} out of range [0, {size})")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n input vectors of shared dimension."""
@@ -21,12 +53,8 @@ class Dataset:
     points: np.ndarray          # (n, d_in)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise ValueError("dataset needs a (n, d_in) array with n >= 2")
-        if not np.isfinite(pts).all():
-            raise ValueError("dataset points must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points",
+                           row_array("dataset points", self.points, 2))
 
     @property
     def n(self) -> int:
@@ -48,12 +76,7 @@ class AugmentationFamily:
     deltas: np.ndarray          # (K, d_in)
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
-        if d.ndim != 2 or d.shape[0] < 1:
-            raise ValueError("deltas must be a (K, d_in) array with K >= 1")
-        if not np.isfinite(d).all():
-            raise ValueError("deltas must be finite")
-        object.__setattr__(self, "deltas", d)
+        object.__setattr__(self, "deltas", row_array("deltas", self.deltas, 1))
 
     @property
     def K(self) -> int:
@@ -74,8 +97,7 @@ def make_augmentation_family(d_in: int, K: int = 4, scale: float = 0.1,
 
 def apply_augmentation(fam: AugmentationFamily, k: int, x: np.ndarray) -> np.ndarray:
     """Return x + deltas[k]. k is a 0-based view index in [0, K)."""
-    if not 0 <= k < fam.K:
-        raise IndexError(f"augmentation index {k} out of range [0, {fam.K})")
+    check_index("augmentation", k, fam.K)
     return np.asarray(x, dtype=float) + fam.deltas[k]
 
 
@@ -88,18 +110,19 @@ class MiniBatch:
     aug_b: np.ndarray           # (B,)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        a = np.asarray(self.aug_a, dtype=int)
-        b = np.asarray(self.aug_b, dtype=int)
-        if idx.ndim != 1 or idx.shape[0] < 2:
-            raise ValueError("a mini-batch needs at least 2 indices")
-        if a.shape != idx.shape or b.shape != idx.shape:
-            raise ValueError("aug_a and aug_b must match indices in length")
-        if idx.min() < 0:
-            raise ValueError("mini-batch indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "aug_a", a)
-        object.__setattr__(self, "aug_b", b)
+        # One check over the stacked rows costs a third of three checks.
+        names = ("indices", "aug_a", "aug_b")
+        try:
+            rows = index_array("mini-batch", (self.indices, self.aug_a,
+                                              self.aug_b), 2, ndim=2)
+        except ValueError:      # one by one, to name the argument at fault
+            rows = [index_array(name, getattr(self, name), 2)
+                    for name in names]
+            if len({row.shape for row in rows}) > 1:
+                raise ValueError("aug_a and aug_b must match indices in "
+                                 "length") from None
+        for k, name in enumerate(names):    # indexing beats iterating rows
+            object.__setattr__(self, name, rows[k])
 
     @property
     def B(self) -> int:
@@ -142,19 +165,18 @@ class IndexSampler:
         return out
 
 
-class MinibatchSampler:
+class MinibatchSampler(IndexSampler):
     """IndexSampler plus uniform independent augmentation draws per slot."""
 
     def __init__(self, ds: Dataset, fam: AugmentationFamily, B: int,
                  rng: np.random.Generator, mode: str = "epoch_shuffle"):
-        self._indices = IndexSampler(ds.n, B, rng, mode)
-        self._fam = fam
-        self.rng = rng
+        super().__init__(ds.n, B, rng, mode)
+        self.K = fam.K
 
     def next_batch(self) -> MiniBatch:
-        idx = self._indices.next_indices()
-        aug_a = self.rng.integers(0, self._fam.K, size=idx.shape[0])
-        aug_b = self.rng.integers(0, self._fam.K, size=idx.shape[0])
+        idx = self.next_indices()
+        aug_a = self.rng.integers(0, self.K, size=self.B)
+        aug_b = self.rng.integers(0, self.K, size=self.B)
         return MiniBatch(indices=idx, aug_a=aug_a, aug_b=aug_b)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import create_text
+from .embed_core import create_text, row_array
 
 ARCHITECTURES = ("linear", "one_hidden")
 
@@ -41,25 +41,19 @@ class EncoderParams:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture: {self.architecture!r}")
-        W1 = np.asarray(self.W1, dtype=float)
-        if W1.ndim != 2 or not np.isfinite(W1).all():
-            raise ValueError("W1 must be a finite matrix")
-        object.__setattr__(self, "W1", W1)
-        if self.architecture == "linear":
+        linear = self.architecture == "linear"
+        # The output layer (W1 when linear, else W2) has one row per
+        # embedding dimension, and at least 2.
+        object.__setattr__(self, "W1", row_array("W1", self.W1, 1 + linear))
+        if linear:
             if self.W2 is not None:
                 raise ValueError("linear encoder takes no W2")
-            if W1.shape[0] < 2:
-                raise ValueError("embedding dimension must be at least 2")
         else:
             if self.W2 is None:
                 raise ValueError("one_hidden encoder needs W2")
-            W2 = np.asarray(self.W2, dtype=float)
-            if W2.ndim != 2 or not np.isfinite(W2).all():
-                raise ValueError("W2 must be a finite matrix")
-            if W2.shape[1] != W1.shape[0]:
+            W2 = row_array("W2", self.W2, 2)
+            if W2.shape[1] != self.W1.shape[0]:
                 raise ValueError("W2 columns must match W1 rows")
-            if W2.shape[0] < 2:
-                raise ValueError("embedding dimension must be at least 2")
             object.__setattr__(self, "W2", W2)
 
     @property

@@ -584,15 +584,20 @@ FD_TOL = 1e-5
 EXACT_TOL = 1e-8
 
 
-def _fd_check(name: str, analytic: np.ndarray, differences, f,
-              at) -> GradcheckResult:
-    """analytic against differences(f, at), the central differences of
-    finite_diff_grad or finite_diff_flat. A non-finite value of f (exp(sim /
-    tau) overflows at a tiny tau) is a numeric failure, not a failed check."""
+def _differences(name: str, differences, f, at) -> np.ndarray:
+    """differences(f, at), the central differences of finite_diff_grad or
+    finite_diff_flat. A non-finite value of f (exp(sim / tau) overflows at a
+    tiny tau) is a numeric failure of check name, not a failed check."""
     try:
-        fd = differences(f, at)
+        return differences(f, at)
     except ValueError as exc:
         raise NumericError(f"{name}: {exc}") from exc
+
+
+def _fd_check(name: str, analytic: np.ndarray, differences, f,
+              at) -> GradcheckResult:
+    """analytic against _differences(name, differences, f, at)."""
+    fd = _differences(name, differences, f, at)
     return GradcheckResult(name=name, rel_err=_rel_err(analytic, fd),
                            tol=FD_TOL)
 
@@ -628,18 +633,10 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     cfg_u = _objective_config(uni)
     cfgs = [replace(cfg_u, version=version) for version in VERSIONS]
     grads = [oracle_F(params, cfg_v, ds, fam).grad for cfg_v in cfgs]
-    try:
-        fd = finite_diff_grad(lambda p: _oracle_values(p, cfgs, ds, fam),
-                              params)
-    except ValueError as exc:
-        # One sweep per version would stop at this line too, in v1's sweep.
-        # v2 takes the log of eps0 plus the mean of a sample's K view
-        # masses. Each finite mass is at most MAX/((n-1)K), so the mean
-        # cannot overflow. Masses are multiples of the least subnormal,
-        # whose sums are exact, so the mean is 0 only where a mass is 0.
-        # Wherever v2 is non-finite, v1 is too, and the first bad
-        # coordinate is v1's.
-        raise NumericError(f"oracle_v1_grad: {exc}") from exc
+    # Named for v1: wherever v2's value is non-finite, v1's is too, so the
+    # first bad coordinate is v1's.
+    fd = _differences("oracle_v1_grad", finite_diff_grad,
+                      lambda p: _oracle_values(p, cfgs, ds, fam), params)
     for cfg_v, grad, column in zip(cfgs, grads, fd.T):
         checks.append(GradcheckResult(name=f"oracle_{cfg_v.version}_grad",
                                       rel_err=_rel_err(grad, column),

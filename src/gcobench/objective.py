@@ -34,7 +34,7 @@ import numpy as np
 
 from . import encoder
 from .embed_core import (AugmentationFamily, Dataset, MiniBatch, all_views,
-                         apply_augmentation)
+                         apply_augmentation, check_index)
 
 ORACLE_GUARD = 10_000
 VERSIONS = ("v1", "v2")
@@ -72,11 +72,6 @@ class OracleResult:
     eps_sq_mean: float
 
 
-def _check_index(what: str, j: int, size: int) -> None:
-    if not 0 <= j < size:
-        raise IndexError(f"{what} index {j} out of range [0, {size})")
-
-
 def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
                 batch: MiniBatch, ds: Dataset, fam: AugmentationFamily) -> float:
     """In-batch averaged exp-similarity mass for anchor view (i, aug_k).
@@ -85,7 +80,7 @@ def g_minibatch(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
     different from i (masking is by dataset index, which keeps the estimator
     unbiased for g_exact under uniform sampling).
     """
-    _check_index("sample", i, ds.n)
+    check_index("sample", i, ds.n)
     keep = batch.indices != i
     if not keep.any():
         raise ValueError(f"batch holds no negatives for sample {i}")
@@ -102,8 +97,8 @@ def g_exact(params, cfg: GlobalObjectiveConfig, i: int, aug_k: int,
             ds: Dataset, fam: AugmentationFamily) -> float:
     """Exact averaged exp-similarity mass over all (n-1)*K negative views:
     entry [i, aug_k] of the oracle's per_sample_g, under the oracle's guard."""
-    _check_index("sample", i, ds.n)
-    _check_index("augmentation", aug_k, fam.K)
+    check_index("sample", i, ds.n)
+    check_index("augmentation", aug_k, fam.K)
     _, gbar, _, _ = _oracle_core(params, cfg, ds, fam, want_grad=False)
     return float(gbar[i * fam.K + aug_k])
 
@@ -291,7 +286,7 @@ def aug_consistency_eps(params, ds: Dataset, fam: AugmentationFamily, i: int) ->
     (1/K^2) sum_{k,k'} (1/|S_i|) sum_z (sim(e_ik, z) - sim(e_ik', z))^2.
     Zero when K = 1 or all perturbations coincide.
     """
-    _check_index("sample", i, ds.n)
+    check_index("sample", i, ds.n)
     E, _ = _embeddings(params, ds, fam)
     return float(_consistency(E, fam.K)[i])
 

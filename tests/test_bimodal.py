@@ -42,6 +42,8 @@ def test_paired_dataset_validation():
     with pytest.raises(ValueError):
         PairedDataset(image=np.array([[np.nan, 0.0], [0.0, 1.0]]),
                       text=np.eye(2))
+    with pytest.raises(ValueError, match="^text must be a 2-d array"):
+        PairedDataset(image=np.eye(3), text=np.ones(3))
 
 
 def test_bimodal_state_validation():
@@ -160,6 +162,21 @@ def test_twoway_kernels_hold_two_square_arrays():
                                          np.arange(n), pds),
                 lambda: twoway_oracle_F(params_i, params_t, cfg, pds)):
         assert traced_peak(run) < 2.5 * square
+
+
+@pytest.mark.parametrize("indices", [[-1, 5], [0.0, 1.0]])
+@pytest.mark.parametrize("call", [twoway_update_u, twoway_estimator,
+                                  twoway_step])
+def test_twoway_functions_refuse_wrapped_or_truncated_indices(call, indices):
+    # numpy would wrap -1 to pair 5, which would then fill both slots, its
+    # positive counted among its in-batch negatives; it would truncate the
+    # floats. Either way the refusal comes before u is touched.
+    pds, pi, pt, cfg = make_paired_instance(n=6, seed=4, tau=0.3)
+    state = make_bimodal_state(6, pair_to_flat(pi, pt).shape[0], eta=0.1)
+    state.u[:] = 0.5
+    with pytest.raises(ValueError, match="^indices must"):
+        call(state, pi, pt, cfg, indices, pds)
+    np.testing.assert_array_equal(state.u, 0.5)
 
 
 def test_estimator_requires_positive_statistics():

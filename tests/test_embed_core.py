@@ -5,6 +5,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcobench import (AugmentationFamily, Dataset, MiniBatch,
                       MinibatchSampler, all_views, apply_augmentation,
@@ -63,8 +64,39 @@ def test_minibatch_validation():
         MiniBatch(indices=[0, 1], aug_a=[0], aug_b=[0, 1])
     # numpy would wrap -1 to the last sample, and masking by index value
     # would then let sample n - 1 be its own negative.
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^indices must be nonnegative"):
         MiniBatch(indices=[-1, 3], aug_a=[0, 1], aug_b=[1, 0])
+    # numpy would truncate 0.5 and 2.7 to samples 0 and 2, and 1.9 to view
+    # 1; a negative view would wrap to view K - 1.
+    with pytest.raises(ValueError, match="^indices must hold integers"):
+        MiniBatch(indices=[0.5, 2.7], aug_a=[0, 1], aug_b=[1, 0])
+    with pytest.raises(ValueError, match="^aug_a must hold integers"):
+        MiniBatch(indices=[0, 1], aug_a=[0, 1.9], aug_b=[1, 0])
+    with pytest.raises(ValueError, match="^aug_a must be nonnegative"):
+        MiniBatch(indices=[0, 1], aug_a=[0, -1], aug_b=[1, 0])
+    with pytest.raises(ValueError, match="^aug_b must hold integers"):
+        MiniBatch(indices=[0, 1], aug_a=[0, 1], aug_b=[1.0, 0.0])
+    with pytest.raises(ValueError, match="^aug_b must be nonnegative"):
+        MiniBatch(indices=[0, 1], aug_a=[0, 1], aug_b=[-2, 0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), B=st.integers(2, 6))
+def test_minibatch_keeps_integer_triples_and_refuses_others(data, B):
+    """A nonnegative integer triple is kept as given; one float or negative
+    entry in any of the three is refused, naming its argument."""
+    names = ("indices", "aug_a", "aug_b")
+    triple = [data.draw(st.lists(st.integers(0, 2**62), min_size=B,
+                                 max_size=B), label=name) for name in names]
+    batch = MiniBatch(*triple)
+    for name, values in zip(names, triple):
+        np.testing.assert_array_equal(getattr(batch, name), values)
+    field = data.draw(st.integers(0, 2), label="field")
+    slot = data.draw(st.integers(0, B - 1), label="slot")
+    triple[field][slot] = data.draw(st.integers(-2**63, -1) | st.floats(),
+                                    label="bad entry")
+    with pytest.raises(ValueError, match=f"^{names[field]} must"):
+        MiniBatch(*triple)
 
 
 def test_index_sampler_epoch_shuffle_is_permutation_with_carry():
