@@ -7,11 +7,14 @@ and brute-force oracles stay computable.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 from dataclasses import dataclass
 
 import numpy as np
+
+_BOOL = np.dtype(bool)      # the one bool dtype numpy gives every bool array
 
 
 def row_array(name: str, values, min_rows: int) -> np.ndarray:
@@ -44,6 +47,24 @@ def check_index(what: str, j: int, size: int) -> None:
     """Refuse a scalar index outside [0, size)."""
     if not 0 <= j < size:
         raise IndexError(f"{what} index {j} out of range [0, {size})")
+
+
+def check_setting(name: str, value, rule) -> None:
+    """Refuse a setting that breaks its rule with ValueError("<name> must
+    ..."). rule is a tuple of choices, or the text of a bound on a number:
+    ">= low", "> low" or "(0, 1]". A float must be finite first."""
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ValueError(f"{name} must be one of {rule}")
+    elif not isinstance(value, int) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    elif rule == "(0, 1]":
+        if not 0 < value <= 1:
+            raise ValueError(f"{name} must lie in {rule}")
+    else:
+        op, low = rule.split()
+        if not (value > int(low) if op == ">" else value >= int(low)):
+            raise ValueError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +132,18 @@ class MiniBatch:
 
     def __post_init__(self):
         # One check over the stacked rows costs a third of three checks.
+        # Stacked with integers, a bool mask would pass as indices 0 and 1,
+        # so it goes to the checks one by one.
         names = ("indices", "aug_a", "aug_b")
+        args = (np.asarray(self.indices), np.asarray(self.aug_a),
+                np.asarray(self.aug_b))
         try:
-            rows = index_array("mini-batch", (self.indices, self.aug_a,
-                                              self.aug_b), 2, ndim=2)
+            if (args[0].dtype is _BOOL or args[1].dtype is _BOOL
+                    or args[2].dtype is _BOOL):
+                raise ValueError
+            rows = index_array("mini-batch", args, 2, ndim=2)
         except ValueError:      # one by one, to name the argument at fault
-            rows = [index_array(name, getattr(self, name), 2)
-                    for name in names]
+            rows = [index_array(name, a, 2) for name, a in zip(names, args)]
             if len({row.shape for row in rows}) > 1:
                 raise ValueError("aug_a and aug_b must match indices in "
                                  "length") from None
@@ -143,10 +169,8 @@ class IndexSampler:
 
     def __init__(self, n: int, B: int, rng: np.random.Generator,
                  mode: str = "epoch_shuffle"):
-        if mode not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode: {mode!r}")
-        if B < 2:
-            raise ValueError("batch size must be at least 2 (no negatives otherwise)")
+        check_setting("sampling mode", mode, SAMPLING_MODES)
+        check_setting("batch size", B, ">= 2")      # no negatives otherwise
         if mode == "epoch_shuffle" and B > n:
             raise ValueError(f"epoch_shuffle needs B <= n, got B={B}, n={n}")
         self.n = n

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import create_text, row_array
+from .embed_core import check_setting, create_text, row_array
 
 ARCHITECTURES = ("linear", "one_hidden")
 
@@ -39,8 +39,7 @@ class EncoderParams:
     W2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture: {self.architecture!r}")
+        check_setting("architecture", self.architecture, ARCHITECTURES)
         linear = self.architecture == "linear"
         # The output layer (W1 when linear, else W2) has one row per
         # embedding dimension, and at least 2.
@@ -76,10 +75,10 @@ def init_encoder(architecture: str, d_in: int, m: int, d_hidden: int = 8,
     rng = np.random.default_rng(seed)
     if architecture == "linear":
         W1 = scale * rng.standard_normal((m, d_in)) / np.sqrt(d_in)
-        return EncoderParams(architecture="linear", W1=W1)
+        return EncoderParams(architecture=architecture, W1=W1)
     W1 = scale * rng.standard_normal((d_hidden, d_in)) / np.sqrt(d_in)
     W2 = scale * rng.standard_normal((m, d_hidden)) / np.sqrt(d_hidden)
-    return EncoderParams(architecture="one_hidden", W1=W1, W2=W2)
+    return EncoderParams(architecture=architecture, W1=W1, W2=W2)
 
 
 def flatten_params(params: EncoderParams) -> np.ndarray:

@@ -27,8 +27,8 @@ from .bimodal import (PairedDataset, make_bimodal_state, pair_to_flat,
                       twoway_estimator, twoway_oracle_F, twoway_oracle_value,
                       twoway_step)
 from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
-                         IndexSampler, create_text, make_augmentation_family,
-                         sample_minibatch)
+                         IndexSampler, check_setting, create_text,
+                         make_augmentation_family, sample_minibatch)
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
 from .objective import (ORACLE_GUARD, TILE_GUARD, VERSIONS,
@@ -66,50 +66,53 @@ class MetricsRecord:
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def _key(key: str, default):
-    """A RunConfig field set by the dotted config key `key`."""
-    return field(default=default, metadata={"key": key})
+def _key(key: str, default, rule=None):
+    """A RunConfig field set by the dotted config key `key`, whose values
+    meet `rule` (see embed_core.check_setting; None for free text)."""
+    return field(default=default, metadata={"key": key, "rule": rule})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment needs, flat. Each field declares the
-    dotted key that sets it from a config file or override. tau = None
-    picks the per-algorithm default (0.1 unimodal, 0.07 bimodal)."""
+    dotted key that sets it from a config file or override, and the rule
+    its values meet. tau = None picks the per-algorithm default (0.1
+    unimodal, 0.07 bimodal)."""
 
-    n: int = _key("dataset.n", 32)
-    d_in: int = _key("dataset.d_in", 8)
-    clusters: int = _key("dataset.clusters", 2)
-    separation: float = _key("dataset.separation", 3.0)
-    data_seed: int = _key("dataset.seed", 7)
-    d_text: int = _key("dataset.d_text", 8)
-    aug_k: int = _key("aug.k", 2)
-    aug_scale: float = _key("aug.scale", 0.1)
-    aug_seed: int = _key("aug.seed", 11)
-    arch: str = _key("encoder.arch", "linear")
-    d_hidden: int = _key("encoder.d_hidden", 8)
-    m_embed: int = _key("encoder.m", 4)
-    encoder_seed: int = _key("encoder.seed", 3)
-    init_scale: float = _key("encoder.init_scale", 1.0)
-    tau: float | None = _key("objective.tau", None)
-    eps0: float = _key("objective.eps0", 0.0)
-    version: str = _key("objective.version", "v1")
-    algo: str = _key("optimizer.algo", "sogclr")
-    eta: float = _key("optimizer.eta", 0.3)
-    beta: float = _key("optimizer.beta", 0.9)
-    gamma: float = _key("optimizer.gamma", 0.8)
-    batch_size: int = _key("optimizer.batch_size", 8)
-    steps: int = _key("optimizer.steps", 500)
-    sampling: str = _key("optimizer.sampling", "epoch_shuffle")
-    u_lag: str = _key("optimizer.u_lag", "fresh")
-    train_seed: int = _key("optimizer.seed", 5)
-    cadence: int = _key("metrics.cadence", 10)
+    n: int = _key("dataset.n", 32, ">= 2")
+    d_in: int = _key("dataset.d_in", 8, ">= 1")
+    clusters: int = _key("dataset.clusters", 2, ">= 1")
+    separation: float = _key("dataset.separation", 3.0, ">= 0")
+    data_seed: int = _key("dataset.seed", 7, ">= 0")
+    d_text: int = _key("dataset.d_text", 8, ">= 1")
+    aug_k: int = _key("aug.k", 2, ">= 1")
+    aug_scale: float = _key("aug.scale", 0.1, ">= 0")
+    aug_seed: int = _key("aug.seed", 11, ">= 0")
+    arch: str = _key("encoder.arch", "linear", ARCHITECTURES)
+    d_hidden: int = _key("encoder.d_hidden", 8, ">= 1")
+    m_embed: int = _key("encoder.m", 4, ">= 2")
+    encoder_seed: int = _key("encoder.seed", 3, ">= 0")
+    init_scale: float = _key("encoder.init_scale", 1.0, "> 0")
+    tau: float | None = _key("objective.tau", None, "> 0")
+    eps0: float = _key("objective.eps0", 0.0, ">= 0")
+    version: str = _key("objective.version", "v1", VERSIONS)
+    algo: str = _key("optimizer.algo", "sogclr", ALGORITHMS)
+    eta: float = _key("optimizer.eta", 0.3, ">= 0")
+    beta: float = _key("optimizer.beta", 0.9, "(0, 1]")
+    gamma: float = _key("optimizer.gamma", 0.8, "(0, 1]")
+    batch_size: int = _key("optimizer.batch_size", 8, ">= 2")
+    steps: int = _key("optimizer.steps", 500, ">= 1")
+    sampling: str = _key("optimizer.sampling", "epoch_shuffle", SAMPLING_MODES)
+    u_lag: str = _key("optimizer.u_lag", "fresh", U_LAG_MODES)
+    train_seed: int = _key("optimizer.seed", 5, ">= 0")
+    cadence: int = _key("metrics.cadence", 10, ">= 1")
     timing: bool = _key("metrics.timing", False)
     metrics_path: str = _key("metrics.path", "")
-    metrics_format: str = _key("metrics.format", "csv")
+    metrics_format: str = _key("metrics.format", "csv", METRICS_FORMATS)
     checkpoint_path: str = _key("checkpoint.path", "")
-    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (4, 16, 64))
-    sweep_seeds: tuple[int, ...] = _key("sweep.seeds", (1, 2, 3))
+    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (4, 16, 64),
+                                              ">= 2")
+    sweep_seeds: tuple[int, ...] = _key("sweep.seeds", (1, 2, 3), ">= 0")
     sweep_path: str = _key("sweep.path", "")
 
 
@@ -193,54 +196,30 @@ def resolved_tau(config: RunConfig) -> float:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Raise ConfigError on any invalid or inconsistent field, or on a
-    dataset too large for the exact oracle of config.algo's objective."""
+    """Raise ConfigError on the first field, in declaration order, that
+    breaks its rule (each entry of a tuple field, which must be nonempty),
+    then on inconsistent fields or a dataset too large for the exact oracle
+    of config.algo's objective."""
     def need(cond: bool, msg: str) -> None:
         if not cond:
             raise ConfigError(msg)
 
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float):
-            need(math.isfinite(value), f"{f.metadata['key']} must be finite")
-        if f.name.endswith("seed"):
-            need(value >= 0, f"{f.metadata['key']} must be >= 0")
-    need(config.n >= 2, "dataset.n must be >= 2")
-    need(config.d_in >= 1, "dataset.d_in must be >= 1")
-    need(config.clusters >= 1, "dataset.clusters must be >= 1")
+        key, rule = f.metadata["key"], f.metadata["rule"]
+        values = getattr(config, f.name)
+        if rule is None or values is None:      # free text, or tau = auto
+            continue
+        if isinstance(values, tuple):
+            need(values != (), f"{key} must be nonempty")
+            key += " entries"
+        else:
+            values = (values,)
+        try:
+            for value in values:
+                check_setting(key, value, rule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     need(config.n >= config.clusters, "dataset.n must be >= dataset.clusters")
-    need(config.separation >= 0, "dataset.separation must be >= 0")
-    need(config.d_text >= 1, "dataset.d_text must be >= 1")
-    need(config.aug_k >= 1, "aug.k must be >= 1")
-    need(config.aug_scale >= 0, "aug.scale must be >= 0")
-    need(config.arch in ARCHITECTURES,
-         f"encoder.arch must be one of {ARCHITECTURES}")
-    need(config.d_hidden >= 1, "encoder.d_hidden must be >= 1")
-    need(config.m_embed >= 2, "encoder.m must be >= 2")
-    need(config.init_scale > 0, "encoder.init_scale must be > 0")
-    need(config.tau is None or config.tau > 0, "objective.tau must be > 0")
-    need(config.eps0 >= 0, "objective.eps0 must be >= 0")
-    need(config.version in VERSIONS,
-         f"objective.version must be one of {VERSIONS}")
-    need(config.algo in ALGORITHMS,
-         f"optimizer.algo must be one of {ALGORITHMS}")
-    need(config.eta >= 0, "optimizer.eta must be >= 0")
-    need(0 < config.beta <= 1, "optimizer.beta must lie in (0, 1]")
-    need(0 < config.gamma <= 1, "optimizer.gamma must lie in (0, 1]")
-    need(config.batch_size >= 2, "optimizer.batch_size must be >= 2")
-    need(config.steps >= 1, "optimizer.steps must be >= 1")
-    need(config.sampling in SAMPLING_MODES,
-         f"optimizer.sampling must be one of {SAMPLING_MODES}")
-    need(config.u_lag in U_LAG_MODES,
-         f"optimizer.u_lag must be one of {U_LAG_MODES}")
-    need(config.cadence >= 1, "metrics.cadence must be >= 1")
-    need(config.metrics_format in METRICS_FORMATS,
-         f"metrics.format must be one of {METRICS_FORMATS}")
-    need(len(config.sweep_batch_sizes) >= 1, "sweep.batch_sizes must be nonempty")
-    need(all(b >= 2 for b in config.sweep_batch_sizes),
-         "sweep.batch_sizes entries must be >= 2")
-    need(len(config.sweep_seeds) >= 1, "sweep.seeds must be nonempty")
-    need(all(s >= 0 for s in config.sweep_seeds), "sweep.seeds entries must be >= 0")
     if config.algo == "bimodal_sogclr":
         need(config.n <= bimodal.TWOWAY_ORACLE_GUARD,
              f"dataset.n must be <= {bimodal.TWOWAY_ORACLE_GUARD} for the "

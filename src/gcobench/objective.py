@@ -34,7 +34,7 @@ import numpy as np
 
 from . import encoder
 from .embed_core import (AugmentationFamily, Dataset, MiniBatch, all_views,
-                         apply_augmentation, check_index)
+                         apply_augmentation, check_index, check_setting)
 
 ORACLE_GUARD = 10_000
 VERSIONS = ("v1", "v2")
@@ -53,12 +53,9 @@ class GlobalObjectiveConfig:
     version: str = "v1"
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
-        if self.version not in VERSIONS:
-            raise ValueError(f"unknown objective version: {self.version!r}")
+        check_setting("tau", self.tau, "> 0")
+        check_setting("eps0", self.eps0, ">= 0")
+        check_setting("version", self.version, VERSIONS)
 
 
 @dataclass

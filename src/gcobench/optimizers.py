@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder
-from .embed_core import (AugmentationFamily, Dataset, MiniBatch, batch_views)
+from .embed_core import (AugmentationFamily, Dataset, MiniBatch, batch_views,
+                         check_setting)
 from .objective import GlobalObjectiveConfig
 
 ADAM_BETA1 = 0.9
@@ -72,16 +73,11 @@ class OptimizerState:
     adam_t: int = 0
 
     def __post_init__(self):
-        if not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step rule: {self.step_rule!r}")
-        if self.u_lag not in U_LAG_MODES:
-            raise ValueError(f"unknown u_lag mode: {self.u_lag!r}")
+        check_setting("eta", self.eta, ">= 0")
+        check_setting("beta", self.beta, "(0, 1]")
+        check_setting("gamma", self.gamma, "(0, 1]")
+        check_setting("step_rule", self.step_rule, STEP_RULES)
+        check_setting("u_lag", self.u_lag, U_LAG_MODES)
         u = np.asarray(self.u, dtype=float)
         if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[0] != 2):
             raise ValueError("u must have shape (n,) or (2, n)")

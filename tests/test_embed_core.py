@@ -78,13 +78,19 @@ def test_minibatch_validation():
         MiniBatch(indices=[0, 1], aug_a=[0, 1], aug_b=[1.0, 0.0])
     with pytest.raises(ValueError, match="^aug_b must be nonnegative"):
         MiniBatch(indices=[0, 1], aug_a=[0, 1], aug_b=[-2, 0])
+    # Stacked with integer rows, a mask would read as sample indices 1, 0, 1.
+    with pytest.raises(ValueError,
+                       match="^indices must hold integers, not bool"):
+        MiniBatch(indices=np.array([True, False, True]), aug_a=[0, 1, 0],
+                  aug_b=[1, 0, 1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), B=st.integers(2, 6))
 def test_minibatch_keeps_integer_triples_and_refuses_others(data, B):
     """A nonnegative integer triple is kept as given; one float or negative
-    entry in any of the three is refused, naming its argument."""
+    entry in any of the three, or a bool mask for one, is refused, naming
+    its argument."""
     names = ("indices", "aug_a", "aug_b")
     triple = [data.draw(st.lists(st.integers(0, 2**62), min_size=B,
                                  max_size=B), label=name) for name in names]
@@ -93,8 +99,12 @@ def test_minibatch_keeps_integer_triples_and_refuses_others(data, B):
         np.testing.assert_array_equal(getattr(batch, name), values)
     field = data.draw(st.integers(0, 2), label="field")
     slot = data.draw(st.integers(0, B - 1), label="slot")
-    triple[field][slot] = data.draw(st.integers(-2**63, -1) | st.floats(),
-                                    label="bad entry")
+    if data.draw(st.booleans(), label="mask"):
+        triple[field] = np.array(data.draw(
+            st.lists(st.booleans(), min_size=B, max_size=B), label="mask values"))
+    else:
+        triple[field][slot] = data.draw(st.integers(-2**63, -1) | st.floats(),
+                                        label="bad entry")
     with pytest.raises(ValueError, match=f"^{names[field]} must"):
         MiniBatch(*triple)
 

@@ -29,6 +29,10 @@ def test_init_encoder_shapes_and_determinism():
 def test_encoder_params_validation():
     with pytest.raises(ValueError):
         EncoderParams(architecture="mlp", W1=np.eye(2))
+    # init_encoder passes its architecture on, so an unknown one is refused
+    # rather than built as one_hidden.
+    with pytest.raises(ValueError, match="^architecture must be one of"):
+        init_encoder("resnet", 4, 3)
     with pytest.raises(ValueError):
         EncoderParams(architecture="linear", W1=np.eye(2), W2=np.eye(2))
     with pytest.raises(ValueError):

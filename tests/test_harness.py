@@ -172,6 +172,42 @@ def test_validate_config_rejects_non_finite_floats(name):
             validate_config(replace(RunConfig(), **{name: value}))
 
 
+def rule_cases(rule, is_float: bool):
+    """(values just outside rule, boundary values that meet it) for a rule
+    as embed_core.check_setting reads it."""
+    if isinstance(rule, tuple):
+        return ["x"], list(rule)
+    bad = [math.nan, math.inf, -math.inf] if is_float else []
+    if rule == "(0, 1]":
+        return bad + [0.0, math.nextafter(1.0, 2.0)], [5e-324, 1.0]
+    op, low = rule.split()
+    low = float(low) if is_float else int(low)
+    above = math.nextafter(low, math.inf) if is_float else low + 1
+    below = math.nextafter(low, -math.inf) if is_float else low - 1
+    return (bad + [below], [low]) if op == ">=" else (bad + [low], [above])
+
+
+def test_every_field_rule_refuses_just_outside_and_accepts_the_boundary():
+    """Read off each RunConfig field's declared rule: a value just outside it
+    is a ConfigError that starts with the field's key, and the boundary value
+    passes. Only the bool and the paths are free, so a new key cannot skip
+    validation."""
+    base = RunConfig(batch_size=2)          # so that dataset.n = 2 passes
+    for f in fields(RunConfig):
+        key, rule = f.metadata["key"], f.metadata["rule"]
+        if rule is None:
+            assert f.type == "bool" or key.endswith(".path"), key
+            continue
+        bad, good = rule_cases(rule, "float" in f.type)
+        if f.type.startswith("tuple"):
+            bad, good = [()] + [(v,) for v in bad], [(v,) for v in good]
+        for value in bad:
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
+                validate_config(replace(base, **{f.name: value}))
+        for value in good:
+            validate_config(replace(base, **{f.name: value}))
+
+
 def test_validate_config_accepts_defaults():
     validate_config(RunConfig())
     validate_config(RunConfig(batch_size=64, n=32,

@@ -60,6 +60,12 @@ def test_objective_config_validation():
         GlobalObjectiveConfig(eps0=-0.1)
     with pytest.raises(ValueError):
         GlobalObjectiveConfig(version="v3")
+    # Unchecked, a NaN shift gives a NaN value and gradient, an infinite
+    # one an infinite value, and an infinite temperature a NaN value.
+    for name, value in (("eps0", math.nan), ("eps0", math.inf),
+                        ("tau", math.inf)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GlobalObjectiveConfig(**{name: value})
     assert VERSIONS == ("v1", "v2")
 
 

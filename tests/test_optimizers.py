@@ -55,6 +55,8 @@ def test_state_constructors_and_validation():
         make_simclr_state(6, eta=-0.1)
     with pytest.raises(ValueError):
         make_simclr_state(6, eta=0.1, beta=0.0)
+    with pytest.raises(ValueError, match="^eta must be finite"):
+        OptimizerState(eta=math.inf)
 
     g = make_sogclr_state(4, 6, eta=0.1)
     assert g.u.shape == (4,) and g.v.shape == (6,)
