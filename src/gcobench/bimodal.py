@@ -207,4 +207,6 @@ def twoway_step(state: OptimizerState, params_image, params_text,
     est = _pair_grad(params_image, params_text, cfg, stats, denom)
     state.u[:, stats.idx] = u_new
     w = state.apply(pair_to_flat(params_image, params_text), est)
-    return flat_to_pair(params_image, params_text, w)
+    d_image = params_image.d
+    return (encoder.step_params(params_image, w[:d_image]),
+            encoder.step_params(params_text, w[d_image:]))

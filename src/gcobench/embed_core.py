@@ -52,19 +52,34 @@ def check_index(what: str, j: int, size: int) -> None:
 def check_setting(name: str, value, rule) -> None:
     """Refuse a setting that breaks its rule with ValueError("<name> must
     ..."). rule is a tuple of choices, or the text of a bound on a number:
-    ">= low", "> low" or "(0, 1]". A float must be finite first."""
+    ">= low", "> low" or "(0, 1]". "int >= low" and "int > low" bound an
+    integer, which a float or a bool breaks. A float must be finite first."""
     if isinstance(rule, tuple):
         if value not in rule:
             raise ValueError(f"{name} must be one of {rule}")
+        return
+    if rule.startswith("int "):
+        rule = rule[4:]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
     elif not isinstance(value, int) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
-    elif rule == "(0, 1]":
+    if rule == "(0, 1]":
         if not 0 < value <= 1:
             raise ValueError(f"{name} must lie in {rule}")
     else:
         op, low = rule.split()
         if not (value > int(low) if op == ">" else value >= int(low)):
             raise ValueError(f"{name} must be {rule}")
+
+
+def unchecked(cls, **values):
+    """An instance of the frozen dataclass cls holding values as its fields,
+    without the checks of its __post_init__: for arrays the package drew or
+    computed itself and has checked already, on the step path."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -170,7 +185,8 @@ class IndexSampler:
     def __init__(self, n: int, B: int, rng: np.random.Generator,
                  mode: str = "epoch_shuffle"):
         check_setting("sampling mode", mode, SAMPLING_MODES)
-        check_setting("batch size", B, ">= 2")      # no negatives otherwise
+        check_setting("dataset size", n, "int >= 2")
+        check_setting("batch size", B, "int >= 2")  # no negatives otherwise
         if mode == "epoch_shuffle" and B > n:
             raise ValueError(f"epoch_shuffle needs B <= n, got B={B}, n={n}")
         self.n = n
@@ -201,7 +217,9 @@ class MinibatchSampler(IndexSampler):
         idx = self.next_indices()
         aug_a = self.rng.integers(0, self.K, size=self.B)
         aug_b = self.rng.integers(0, self.K, size=self.B)
-        return MiniBatch(indices=idx, aug_a=aug_a, aug_b=aug_b)
+        # Drawn here as int arrays in range, which MiniBatch's checks would
+        # only confirm.
+        return unchecked(MiniBatch, indices=idx, aug_a=aug_a, aug_b=aug_b)
 
 
 def sample_minibatch(ds: Dataset, fam: AugmentationFamily, B: int,

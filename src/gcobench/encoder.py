@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import check_setting, create_text, row_array
+from .embed_core import check_setting, create_text, row_array, unchecked
 
 ARCHITECTURES = ("linear", "one_hidden")
 
@@ -93,12 +93,18 @@ def unflatten_params(template: EncoderParams, vec: np.ndarray) -> EncoderParams:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (template.d,):
         raise ValueError(f"expected flat vector of length {template.d}, got {vec.shape}")
+    params = step_params(template, vec)
+    return EncoderParams(params.architecture, params.W1, params.W2)
+
+
+def step_params(template: EncoderParams, vec: np.ndarray) -> EncoderParams:
+    """template's shapes over the flat vector vec, without EncoderParams'
+    checks: for the step rule's output, which has template's length and
+    which OptimizerState.apply has checked to be finite."""
     n1 = template.W1.size
-    W1 = vec[:n1].reshape(template.W1.shape)
-    if template.W2 is None:
-        return EncoderParams(architecture=template.architecture, W1=W1)
-    W2 = vec[n1:].reshape(template.W2.shape)
-    return EncoderParams(architecture=template.architecture, W1=W1, W2=W2)
+    W2 = None if template.W2 is None else vec[n1:].reshape(template.W2.shape)
+    return unchecked(EncoderParams, architecture=template.architecture,
+                     W1=vec[:n1].reshape(template.W1.shape), W2=W2)
 
 
 @dataclass
@@ -195,10 +201,10 @@ def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 def _encoder_text(params: EncoderParams) -> str:
-    """Header line with architecture and shapes, then one flat value per
-    line, via repr."""
-    dims = ([params.d_in, params.m] if params.architecture == "linear"
-            else [params.d_in, params.W1.shape[0], params.m])
+    """Header line with architecture, input size and each layer's output
+    size, then one flat value per line, via repr."""
+    dims = [params.d_in, *(W.shape[0] for W in (params.W1, params.W2)
+                           if W is not None)]
     lines = [" ".join(map(str, [params.architecture, *dims])),
              *map(repr, flatten_params(params).tolist())]
     return "".join(line + "\n" for line in lines)
@@ -224,18 +230,16 @@ def load_encoder(path: str) -> EncoderParams:
             raise ValueError("empty file")
         arch, *dims = lines[0].split()
         dims = [int(x) for x in dims]
-        if arch == "linear":
-            d_in, m = dims
-            shapes = [(m, d_in)]
-        elif arch == "one_hidden":
-            d_in, d_h, m = dims
-            shapes = [(d_h, d_in), (m, d_h)]
-        else:
-            raise ValueError(f"unknown architecture in header: {arch!r}")
+        shapes = list(zip(dims[1:], dims[:-1]))     # (out, in) per layer
+        if not 1 <= len(shapes) <= 2:
+            raise ValueError(f"{len(dims)} sizes in the header")
         vec = np.array([float(v) for v in lines[1:]])
         # Counted before the template is allocated: a header can claim any size.
         if vec.shape[0] != sum(a * b for a, b in shapes):
             raise ValueError(f"{vec.shape[0]} values for the shapes {shapes}")
+        # EncoderParams refuses an unknown architecture or a layer count
+        # that is not its architecture's, and unflatten_params a non-finite
+        # value.
         params = unflatten_params(EncoderParams(arch, *map(np.zeros, shapes)), vec)
         if text != _encoder_text(params):
             raise ValueError("not the text save_encoder writes for its parameters")

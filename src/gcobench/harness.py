@@ -79,19 +79,19 @@ class RunConfig:
     its values meet. tau = None picks the per-algorithm default (0.1
     unimodal, 0.07 bimodal)."""
 
-    n: int = _key("dataset.n", 32, ">= 2")
-    d_in: int = _key("dataset.d_in", 8, ">= 1")
-    clusters: int = _key("dataset.clusters", 2, ">= 1")
+    n: int = _key("dataset.n", 32, "int >= 2")
+    d_in: int = _key("dataset.d_in", 8, "int >= 1")
+    clusters: int = _key("dataset.clusters", 2, "int >= 1")
     separation: float = _key("dataset.separation", 3.0, ">= 0")
-    data_seed: int = _key("dataset.seed", 7, ">= 0")
-    d_text: int = _key("dataset.d_text", 8, ">= 1")
-    aug_k: int = _key("aug.k", 2, ">= 1")
+    data_seed: int = _key("dataset.seed", 7, "int >= 0")
+    d_text: int = _key("dataset.d_text", 8, "int >= 1")
+    aug_k: int = _key("aug.k", 2, "int >= 1")
     aug_scale: float = _key("aug.scale", 0.1, ">= 0")
-    aug_seed: int = _key("aug.seed", 11, ">= 0")
+    aug_seed: int = _key("aug.seed", 11, "int >= 0")
     arch: str = _key("encoder.arch", "linear", ARCHITECTURES)
-    d_hidden: int = _key("encoder.d_hidden", 8, ">= 1")
-    m_embed: int = _key("encoder.m", 4, ">= 2")
-    encoder_seed: int = _key("encoder.seed", 3, ">= 0")
+    d_hidden: int = _key("encoder.d_hidden", 8, "int >= 1")
+    m_embed: int = _key("encoder.m", 4, "int >= 2")
+    encoder_seed: int = _key("encoder.seed", 3, "int >= 0")
     init_scale: float = _key("encoder.init_scale", 1.0, "> 0")
     tau: float | None = _key("objective.tau", None, "> 0")
     eps0: float = _key("objective.eps0", 0.0, ">= 0")
@@ -100,19 +100,19 @@ class RunConfig:
     eta: float = _key("optimizer.eta", 0.3, ">= 0")
     beta: float = _key("optimizer.beta", 0.9, "(0, 1]")
     gamma: float = _key("optimizer.gamma", 0.8, "(0, 1]")
-    batch_size: int = _key("optimizer.batch_size", 8, ">= 2")
-    steps: int = _key("optimizer.steps", 500, ">= 1")
+    batch_size: int = _key("optimizer.batch_size", 8, "int >= 2")
+    steps: int = _key("optimizer.steps", 500, "int >= 1")
     sampling: str = _key("optimizer.sampling", "epoch_shuffle", SAMPLING_MODES)
     u_lag: str = _key("optimizer.u_lag", "fresh", U_LAG_MODES)
-    train_seed: int = _key("optimizer.seed", 5, ">= 0")
-    cadence: int = _key("metrics.cadence", 10, ">= 1")
+    train_seed: int = _key("optimizer.seed", 5, "int >= 0")
+    cadence: int = _key("metrics.cadence", 10, "int >= 1")
     timing: bool = _key("metrics.timing", False)
     metrics_path: str = _key("metrics.path", "")
     metrics_format: str = _key("metrics.format", "csv", METRICS_FORMATS)
     checkpoint_path: str = _key("checkpoint.path", "")
     sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (4, 16, 64),
-                                              ">= 2")
-    sweep_seeds: tuple[int, ...] = _key("sweep.seeds", (1, 2, 3), ">= 0")
+                                              "int >= 2")
+    sweep_seeds: tuple[int, ...] = _key("sweep.seeds", (1, 2, 3), "int >= 0")
     sweep_path: str = _key("sweep.path", "")
 
 

@@ -185,19 +185,23 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
                  ds: Dataset, fam: AugmentationFamily) -> _BatchStats:
     B = batch.B
     E, cache = encoder.encode_batch(params, batch_views(ds, fam, batch))
-    # Not the gemm form E @ ascontiguousarray(E.T): on OpenBLAS it differs from
-    # this syrk form in the last bit for most 2B not a multiple of 8. Its 21 us
-    # at 2B = 128 are not syrk's but numpy's mirror of the triangle at a 1 KiB
-    # row stride, hitting the same L1 sets every row (ROADMAP item 9).
-    P = E @ E.T
+    # S = E E^T is numpy's syrk call, not the gemm form E @ E.T.copy(), which
+    # on OpenBLAS differs in the last bit for most 2B not a multiple of 8.
+    # numpy mirrors syrk's triangle into S row by row, so S is exactly
+    # symmetric. At a row stride that is a multiple of 256 B every row of
+    # the mirror hits the same L1 sets (at 2B = 128, m = 4, one BLAS thread:
+    # 28 us against 12 us padded), so S then gets a cache line of padding.
+    n2 = 2 * B
+    S = np.empty((n2, n2 + 8 * (n2 % 32 == 0)))[:, :n2]
+    np.matmul(E, E.T, out=S)
     idx = batch.indices
     member = idx[:, None] != idx[None, :]            # (B, B) slot mask
     half = member.sum(axis=1)
     if not half.all():
         bad = int(np.argmin(half))
         raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
-    pos = P.diagonal(B).copy()
-    np.divide(P, cfg.tau, out=P)
+    pos = S.diagonal(B).copy()
+    P = np.divide(S, cfg.tau)
     np.exp(P, out=P)
     # Each (B, B) view block takes the slot mask. Assigning 0.0, not
     # multiplying by the mask, keeps an overflowed masked entry out of gbar.
@@ -209,16 +213,23 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
                         denom: np.ndarray) -> np.ndarray:
-    """The estimator for the (2, B) denominators denom.
-    Consumes stats.P: the contrast matrix C is written over it, and C + C^T
-    is the one other (2B, 2B) array."""
+    """The estimator for the (2, B) denominators denom: the cotangent
+    (C + C^T) E, where C is P with row i divided by s_i and each positive
+    entry (i, B + i) set to -1/B. P is exactly symmetric (S, exp and the slot
+    mask are), so C^T is P / s[None, :] with the entries (B + i, i) set to
+    -1/B, and C^T is never read from C. Consumes stats.P: C is written over
+    it, and C^T is the one other (2B, 2B) array."""
     B = stats.cnt.shape[0] // 2
+    s = (cfg.eps0 + denom).reshape(-1) * stats.cnt * 2 * B
     C = stats.P
-    C /= (cfg.eps0 + denom).reshape(-1, 1) * stats.cnt[:, None] * 2 * B
-    sl = np.arange(B)
-    C[sl, B + sl] = -1.0 / B
-    cot = (C + C.T) @ stats.E
-    return encoder.backward_batch(params, stats.cache, cot)
+    Ct = C / s
+    C /= s[:, None]
+    # Row-major, (i, B + i) is flat entry B + i(2B + 1) and (B + i, i) is
+    # 2B^2 + i(2B + 1): basic slices, a third of the cost of fancy indexing.
+    C.reshape(-1)[B:2 * B * B:2 * B + 1] = -1.0 / B
+    Ct.reshape(-1)[2 * B * B::2 * B + 1] = -1.0 / B
+    C += Ct
+    return encoder.backward_batch(params, stats.cache, C @ stats.E)
 
 
 def simclr_estimator(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
@@ -245,7 +256,7 @@ def simclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     in-batch estimator."""
     est = simclr_estimator(params, cfg, batch, ds, fam)
     w = state.apply(encoder.flatten_params(params), est)
-    return encoder.unflatten_params(params, w)
+    return encoder.step_params(params, w)
 
 
 def sogclr_update_u(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
@@ -310,4 +321,4 @@ def sogclr_step(state: OptimizerState, params, cfg: GlobalObjectiveConfig,
     report = sogclr_estimator(state, params, cfg, batch, ds, fam)
     state.u[batch.indices] = report.u_batch_values
     w = state.apply(encoder.flatten_params(params), report.estimator)
-    return encoder.unflatten_params(params, w)
+    return encoder.step_params(params, w)

@@ -24,6 +24,12 @@ package, as yardsticks for the code that replaced them.
 - The tiled oracle from before its row tiles ran on a thread pool: one
   serial loop over the tiles, adding each tile's cotangent terms as it
   goes, with its tile budget. Renamed to serial_tile_core.
+- The stacked batch kernel from before its S buffer was padded and before
+  C + C^T was formed without reading C transposed: S = E @ E.T divided in
+  place, and (C + C.T) @ E. Renamed to stacked_batch_stats and
+  stacked_assemble_estimator; they build the package's _BatchStats. The
+  one edit is that stacked_batch_stats calls the package's batch_views and
+  encode_batch, not the copies above.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gcobench import encoder
+from gcobench import encoder, optimizers
 from gcobench.bimodal import PairedDataset, flat_to_pair, pair_to_flat
 from gcobench.embed_core import (SAMPLING_MODES, AugmentationFamily, Dataset,
                                  MiniBatch, all_views, apply_augmentation)
@@ -603,3 +609,43 @@ def serial_tile_core(params, cfg: GlobalObjectiveConfig, ds: Dataset,
     cot -= np.repeat(block_sums * (2.0 / (n * K * K)), K, axis=0)
     grad = encoder.backward_batch(params, cache, cot)
     return value, grad, per_sample_g, float(np.mean(_consistency(E, K)))
+
+
+def stacked_batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
+                        ds: Dataset, fam: AugmentationFamily):
+    B = batch.B
+    E, cache = encoder.encode_batch(params, optimizers.batch_views(ds, fam,
+                                                                   batch))
+    # Not the gemm form E @ ascontiguousarray(E.T): on OpenBLAS it differs from
+    # this syrk form in the last bit for most 2B not a multiple of 8. Its 21 us
+    # at 2B = 128 are not syrk's but numpy's mirror of the triangle at a 1 KiB
+    # row stride, hitting the same L1 sets every row (ROADMAP item 9).
+    P = E @ E.T
+    idx = batch.indices
+    member = idx[:, None] != idx[None, :]            # (B, B) slot mask
+    half = member.sum(axis=1)
+    if not half.all():
+        bad = int(np.argmin(half))
+        raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
+    pos = P.diagonal(B).copy()
+    np.divide(P, cfg.tau, out=P)
+    np.exp(P, out=P)
+    # Each (B, B) view block takes the slot mask. Assigning 0.0, not
+    # multiplying by the mask, keeps an overflowed masked entry out of gbar.
+    np.copyto(P.reshape(2, B, 2, B), 0.0, where=~member[:, None, :])
+    cnt = 2 * np.concatenate((half, half))
+    return optimizers._BatchStats(E=E, cache=cache, pos=pos, P=P, cnt=cnt,
+                                  gbar=(P.sum(axis=1) / cnt).reshape(2, B))
+
+
+def stacked_assemble_estimator(params, cfg, stats, denom: np.ndarray) -> np.ndarray:
+    """The estimator for the (2, B) denominators denom.
+    Consumes stats.P: the contrast matrix C is written over it, and C + C^T
+    is the one other (2B, 2B) array."""
+    B = stats.cnt.shape[0] // 2
+    C = stats.P
+    C /= (cfg.eps0 + denom).reshape(-1, 1) * stats.cnt[:, None] * 2 * B
+    sl = np.arange(B)
+    C[sl, B + sl] = -1.0 / B
+    cot = (C + C.T) @ stats.E
+    return encoder.backward_batch(params, stats.cache, cot)

@@ -11,6 +11,7 @@ from gcobench import (AugmentationFamily, Dataset, MiniBatch,
                       MinibatchSampler, all_views, apply_augmentation,
                       batch_views, make_augmentation_family,
                       sample_minibatch)
+import gcobench
 from gcobench.embed_core import SAMPLING_MODES, IndexSampler, create_text
 
 import reference
@@ -134,7 +135,36 @@ def test_index_sampler_validation():
         IndexSampler(4, 1, rng, "epoch_shuffle")
     with pytest.raises(ValueError):
         IndexSampler(4, 2, rng, "bogus")
+    # Integer settings refuse a float or a bool when the sampler is built,
+    # not at its first draw (rng.integers would take n = 8.5 silently).
+    for n, B in ((8, 2.5), (8, 2.0), (8, True), (8.5, 2), (np.float64(8), 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            IndexSampler(n, B, rng, "with_replacement")
+    IndexSampler(np.int64(8), np.int32(2), rng, "with_replacement")
     assert SAMPLING_MODES == ("epoch_shuffle", "with_replacement")
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_sampler_batches_equal_checked_minibatches(mode):
+    """The sampler builds its batches without MiniBatch's checks, through a
+    path the package does not export. Each batch equals the MiniBatch built
+    with the checks from the same arrays, in dtype, shape and values; the
+    public MiniBatch still refuses a bool mask, a negative and a float."""
+    ds = Dataset(points=np.arange(14.0).reshape(7, 2))
+    fam = AugmentationFamily(deltas=np.zeros((3, 2)))
+    sampler = MinibatchSampler(ds, fam, 5, np.random.default_rng(8), mode)
+    names = ("indices", "aug_a", "aug_b")
+    for _ in range(6):          # epoch_shuffle carries a remainder across
+        batch = sampler.next_batch()
+        checked = MiniBatch(*(getattr(batch, name) for name in names))
+        for name in names:
+            a, b = getattr(batch, name), getattr(checked, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) == (np.int_, (5,))
+            np.testing.assert_array_equal(a, b)
+    assert not hasattr(gcobench, "unchecked")
+    for bad in (np.ones(5, dtype=bool), [0, 1, -1, 2, 3], [0, 1, 2.0, 3, 4]):
+        with pytest.raises(ValueError, match="^indices must"):
+            MiniBatch(indices=bad, aug_a=batch.aug_a, aug_b=batch.aug_b)
 
 
 def test_sample_minibatch_shapes_and_determinism():

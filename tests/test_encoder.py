@@ -10,7 +10,8 @@ from gcobench import (DegenerateEmbeddingError, EncoderParams, backward_batch,
                       encode, encode_batch, finite_diff_flat,
                       finite_diff_grad, flatten_params, init_encoder,
                       load_encoder, save_encoder, unflatten_params)
-from gcobench.encoder import ARCHITECTURES, _central_diff
+import gcobench
+from gcobench.encoder import ARCHITECTURES, _central_diff, step_params
 
 
 def test_init_encoder_shapes_and_determinism():
@@ -154,6 +155,31 @@ def test_encoder_checkpoint_roundtrip(arch, tmp_path):
     np.testing.assert_array_equal(back.W1, params.W1)
     if params.W2 is not None:
         np.testing.assert_array_equal(back.W2, params.W2)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_rebuilds_refuse_non_finite_values(arch, bad, tmp_path):
+    """The step rebuilds its params through step_params, unchecked, because
+    its rule has checked w. unflatten_params and load_encoder keep the
+    check, which is the only one a checkpoint of 'nan' or 'inf' meets:
+    save_encoder writes such a value as that text. The value sits in the
+    output layer, W1 when linear, else W2."""
+    params = init_encoder(arch, 3, 2, d_hidden=4, seed=1)
+    layer = "W1" if arch == "linear" else "W2"
+    vec = flatten_params(params)
+    np.testing.assert_array_equal(flatten_params(step_params(params, vec)),
+                                  vec)
+    assert not hasattr(gcobench, "step_params")
+    vec[-1] = bad
+    with pytest.raises(ValueError, match=f"^{layer} must be finite"):
+        unflatten_params(params, vec)
+    path = tmp_path / "enc.txt"
+    save_encoder(params, str(path))
+    *head, _ = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(head) + repr(bad) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {layer} must")):
+        load_encoder(str(path))
 
 
 def test_load_encoder_rejects_bad_files(tmp_path):

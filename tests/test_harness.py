@@ -174,17 +174,20 @@ def test_validate_config_rejects_non_finite_floats(name):
 
 def rule_cases(rule, is_float: bool):
     """(values just outside rule, boundary values that meet it) for a rule
-    as embed_core.check_setting reads it."""
+    as embed_core.check_setting reads it. An int field's rule bounds an int,
+    so the boundary as a float, and True, break it too."""
     if isinstance(rule, tuple):
         return ["x"], list(rule)
     bad = [math.nan, math.inf, -math.inf] if is_float else []
     if rule == "(0, 1]":
         return bad + [0.0, math.nextafter(1.0, 2.0)], [5e-324, 1.0]
-    op, low = rule.split()
+    *kind, op, low = rule.split()
+    assert kind == ([] if is_float else ["int"]), rule
     low = float(low) if is_float else int(low)
     above = math.nextafter(low, math.inf) if is_float else low + 1
     below = math.nextafter(low, -math.inf) if is_float else low - 1
-    return (bad + [below], [low]) if op == ">=" else (bad + [low], [above])
+    bad, good = (bad + [below], [low]) if op == ">=" else (bad + [low], [above])
+    return bad + ([] if is_float else [float(good[0]), True]), good
 
 
 def test_every_field_rule_refuses_just_outside_and_accepts_the_boundary():

@@ -12,10 +12,11 @@ from gcobench import (GlobalObjectiveConfig, MiniBatch, NumericError,
                       make_sogclr_state, oracle_F,
                       sample_minibatch, simclr_batch_loss, simclr_estimator,
                       simclr_step, sogclr_estimator, sogclr_step,
-                      sogclr_update_u)
+                      sogclr_update_u, unflatten_params)
 from gcobench import optimizers
 from gcobench.optimizers import ADAM_EPS
 
+import reference
 from conftest import (identical_instance, make_instance, orthogonal_instance,
                       traced_peak)
 
@@ -145,6 +146,41 @@ def test_batch_kernels_hold_two_square_arrays():
     for run in (lambda: simclr_estimator(params, cfg, batch, ds, fam),
                 lambda: sogclr_estimator(state, params, cfg, full, ds, fam1)):
         assert traced_peak(run) < 2.5 * square
+
+
+@pytest.mark.parametrize("sampling", ["epoch_shuffle", "with_replacement"])
+def test_batch_kernel_matches_the_transposed_read_bitwise(sampling, monkeypatch):
+    """The padded S buffer and C + C^T formed from P / s[None, :] give the
+    bits of the kernel that held S unpadded and read C.T: at 2B = 128, 192
+    and 256, whose row strides alias; at 120 and 126 below them; and at 334,
+    where OpenBLAS threads the syrk call. Both estimators and dcl_surrogate,
+    at eps0 > 0 with a warm u."""
+    ds, fam, params, cfg = make_instance(n=167, K=2, d_in=4, m=4, tau=0.2,
+                                         eps0=0.3, seed=5)
+    rng = np.random.default_rng(6)
+    d = flatten_params(params).shape[0]
+    state = make_sogclr_state(167, d, eta=0.1, gamma=0.6)
+    state.u[:] = rng.uniform(0.5, 3.0, 167)
+    other = unflatten_params(params, flatten_params(params)
+                             + 0.01 * rng.standard_normal(d))
+
+    def kernel_outputs(batch):
+        value, eval_fn = dcl_surrogate(state, params, cfg, batch, ds, fam)
+        return (simclr_estimator(params, cfg, batch, ds, fam),
+                sogclr_estimator(state, params, cfg, batch, ds, fam).estimator,
+                value, eval_fn(other))
+
+    for B in (60, 63, 64, 96, 128, 167):
+        batch = sample_minibatch(ds, fam, B, rng, sampling)
+        new = kernel_outputs(batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizers, "_batch_stats",
+                          reference.stacked_batch_stats)
+            patch.setattr(optimizers, "_assemble_estimator",
+                          reference.stacked_assemble_estimator)
+            old = kernel_outputs(batch)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b), B
 
 
 def constant_report(value):
