@@ -31,7 +31,7 @@ import numpy as np
 from . import encoder
 from .embed_core import index_array, row_array
 from .objective import GlobalObjectiveConfig, OracleSizeError
-from .optimizers import NumericError, OptimizerState
+from .optimizers import _BLOCK, NumericError, OptimizerState
 
 DEFAULT_TAU = 0.07
 TWOWAY_ORACLE_GUARD = 1000
@@ -95,7 +95,6 @@ def flat_to_pair(params_image, params_text, vec: np.ndarray):
 
 @dataclass
 class _PairStats:
-    idx: np.ndarray         # the batch's dataset indices
     EI: np.ndarray
     ET: np.ndarray
     cache_image: object
@@ -106,17 +105,16 @@ class _PairStats:
 
 
 def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
-                  indices, ds: PairedDataset) -> _PairStats:
-    """The batch kernel: statistics of the pairs ds[indices] in that order."""
-    idx = index_array("indices", indices, 2)
-    EI, cache_i = encoder.encode_batch(params_image, ds.image[idx])
-    ET, cache_t = encoder.encode_batch(params_text, ds.text[idx])
+                  image: np.ndarray, text: np.ndarray) -> _PairStats:
+    """The batch kernel: statistics of the aligned rows image and text."""
+    EI, cache_i = encoder.encode_batch(params_image, image)
+    ET, cache_t = encoder.encode_batch(params_text, text)
     expS = EI @ ET.T
     trace = np.trace(expS)
     np.divide(expS, cfg.tau, out=expS)
     np.exp(expS, out=expS)
     g = np.array((expS.mean(axis=1), expS.mean(axis=0)))
-    return _PairStats(idx=idx, EI=EI, ET=ET, cache_image=cache_i,
+    return _PairStats(EI=EI, ET=ET, cache_image=cache_i,
                       cache_text=cache_t, trace=trace, expS=expS, g=g)
 
 
@@ -125,15 +123,16 @@ def _pair_grad(params_image, params_text, cfg: GlobalObjectiveConfig,
     """Gradient over concatenated (image, text) parameters of the two-way
     expression over the rows of stats, with row and column denominators
     eps0 + denom, denom (2, B) masses or statistics. Consumes stats.expS:
-    the contrast matrix is written over it, and the grid of reciprocal sums
-    is the one other B x B array."""
+    the contrast matrix is written over it, and one block of rows of the
+    grid of reciprocal sums is the one other array."""
     B = stats.expS.shape[0]
-    d = cfg.eps0 + denom
+    r0, r1 = 1.0 / (cfg.eps0 + denom)
     C = stats.expS
     C /= B ** 2
-    C *= 1.0 / d[0][:, None] + 1.0 / d[1][None, :]
-    sl = np.arange(B)
-    C[sl, sl] -= 2.0 / B
+    step = _BLOCK // B or 1
+    for r in range(0, B, step):
+        C[r:r + step] *= r0[r:r + step, None] + r1
+    C.reshape(-1)[::B + 1] -= 2.0 / B
     grad_i = encoder.backward_batch(params_image, stats.cache_image,
                                     C @ stats.ET)
     grad_t = encoder.backward_batch(params_text, stats.cache_text,
@@ -148,7 +147,7 @@ def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
         raise OracleSizeError(
             f"two-way oracle enumeration over n = {n} exceeds the guard "
             f"({TWOWAY_ORACLE_GUARD})")
-    stats = _paired_stats(params_image, params_text, cfg, np.arange(n), ds)
+    stats = _paired_stats(params_image, params_text, cfg, ds.image, ds.text)
     d = cfg.eps0 + stats.g
     value = float(-2.0 * stats.trace / n
                   + cfg.tau * np.mean(np.log(d[0]))
@@ -178,9 +177,11 @@ def twoway_update_u(state: OptimizerState, params_image, params_text,
     """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
     only, under the state's u_lag rule (refresh). Returns the new (u_image,
     u_text) values in slot order; a repeated index keeps its last slot."""
-    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
-    _, u_new = state.refresh(stats.idx, stats.g)
-    state.u[:, stats.idx] = u_new
+    idx = index_array("indices", indices, 2)
+    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
+                          ds.text[idx])
+    _, u_new = state.refresh(idx, stats.g)
+    state.u[:, idx] = u_new
     return u_new[0], u_new[1]
 
 
@@ -189,8 +190,10 @@ def twoway_estimator(state: OptimizerState, params_image, params_text,
                      ds: PairedDataset) -> np.ndarray:
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
-    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
-    u = state.u[:, stats.idx]
+    idx = index_array("indices", indices, 2)
+    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
+                          ds.text[idx])
+    u = state.u[:, idx]
     if np.any(u <= 0):
         raise NumericError("nonpositive u statistic at use time "
                            "(update u before estimating)")
@@ -202,10 +205,12 @@ def twoway_step(state: OptimizerState, params_image, params_text,
     """One optimizer step over both parameter blocks jointly, from one pass
     over the batch: the denominators and new u of the state's u_lag rule
     (refresh), the estimator, the stored u, then the step rule."""
-    stats = _paired_stats(params_image, params_text, cfg, indices, ds)
-    denom, u_new = state.refresh(stats.idx, stats.g)
+    idx = index_array("indices", indices, 2)
+    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
+                          ds.text[idx])
+    denom, u_new = state.refresh(idx, stats.g)
     est = _pair_grad(params_image, params_text, cfg, stats, denom)
-    state.u[:, stats.idx] = u_new
+    state.u[:, idx] = u_new
     w = state.apply(pair_to_flat(params_image, params_text), est)
     d_image = params_image.d
     return (encoder.step_params(params_image, w[:d_image]),

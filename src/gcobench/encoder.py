@@ -151,7 +151,7 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     of the unit sphere before dividing by the pre-normalization norm.
     """
     C = np.atleast_2d(np.asarray(cotangents, dtype=float))
-    inner = np.sum(C * cache.E, axis=1, keepdims=True)
+    inner = np.add.reduce(C * cache.E, 1, keepdims=True)   # np.sum, unwrapped
     c_raw = (C - inner * cache.E) / cache.norms[:, None]
     if params.architecture == "linear":
         return (c_raw.T @ cache.X).ravel()

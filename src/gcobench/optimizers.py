@@ -46,6 +46,8 @@ ADAM_EPS = 1e-8
 
 STEP_RULES = ("momentum", "adam_style")
 U_LAG_MODES = ("fresh", "lagged")
+# Entries per block of rows (256 KiB: 2B <= 128 is one) in the kernels' passes.
+_BLOCK = 1 << 15
 
 
 class NumericError(RuntimeError):
@@ -170,8 +172,8 @@ class StepReport:
 @dataclass
 class _BatchStats:
     """Shared per-batch quantities for estimator assembly, over the 2B anchor
-    views stacked as first views then second views. P is the only (2B, 2B)
-    array, and _assemble_estimator overwrites it."""
+    views stacked as first views then second views. P, in S's buffer, is the
+    only (2B, 2B) array, and _assemble_estimator overwrites it."""
 
     E: np.ndarray               # (2B, m)
     cache: object
@@ -192,23 +194,28 @@ def _batch_stats(params, cfg: GlobalObjectiveConfig, batch: MiniBatch,
     # the mirror hits the same L1 sets (at 2B = 128, m = 4, one BLAS thread:
     # 28 us against 12 us padded), so S then gets a cache line of padding.
     n2 = 2 * B
-    S = np.empty((n2, n2 + 8 * (n2 % 32 == 0)))[:, :n2]
-    np.matmul(E, E.T, out=S)
+    buf = np.empty((n2, n2 + 8 * (n2 % 32 == 0)))
+    S = np.matmul(E, E.T, out=buf[:, :n2])
     idx = batch.indices
     member = idx[:, None] != idx[None, :]            # (B, B) slot mask
     half = member.sum(axis=1)
-    if not half.all():
-        bad = int(np.argmin(half))
-        raise ValueError(f"batch slot {bad} has no negatives (all indices equal)")
+    if not half[0]:     # then no slot has any: all indices are equal
+        raise ValueError("batch slot 0 has no negatives (all indices equal)")
     pos = S.diagonal(B).copy()
-    P = np.divide(S, cfg.tau)
-    np.exp(P, out=P)
+    # P, the (2B, 2B) view at the start of S's buffer, takes S / tau in row
+    # blocks: a block never reaches a later block's rows of S (row i of P
+    # starts no later than S's), and numpy buffers a block's own overlap.
+    P = buf.reshape(-1)[:n2 * n2].reshape(n2, n2)
+    step = _BLOCK // n2 or 1
+    for r in range(0, n2, step):
+        np.divide(S[r:r + step], cfg.tau, P[r:r + step])
+    np.exp(P, P)
     # Each (B, B) view block takes the slot mask. Assigning 0.0, not
     # multiplying by the mask, keeps an overflowed masked entry out of gbar.
     np.copyto(P.reshape(2, B, 2, B), 0.0, where=~member[:, None, :])
     cnt = 2 * np.concatenate((half, half))
     return _BatchStats(E=E, cache=cache, pos=pos, P=P, cnt=cnt,
-                       gbar=(P.sum(axis=1) / cnt).reshape(2, B))
+                       gbar=(np.add.reduce(P, 1) / cnt).reshape(2, B))
 
 
 def _assemble_estimator(params, cfg, stats: _BatchStats,
@@ -216,19 +223,22 @@ def _assemble_estimator(params, cfg, stats: _BatchStats,
     """The estimator for the (2, B) denominators denom: the cotangent
     (C + C^T) E, where C is P with row i divided by s_i and each positive
     entry (i, B + i) set to -1/B. P is exactly symmetric (S, exp and the slot
-    mask are), so C^T is P / s[None, :] with the entries (B + i, i) set to
-    -1/B, and C^T is never read from C. Consumes stats.P: C is written over
-    it, and C^T is the one other (2B, 2B) array."""
+    mask are), so rows r:e of C^T are P[r:e] / s, and C^T is never read from
+    C. Consumes stats.P: C + C^T is written over it in blocks of rows, and
+    a block of C^T is the only other array."""
     B = stats.cnt.shape[0] // 2
-    s = (cfg.eps0 + denom).reshape(-1) * stats.cnt * 2 * B
+    s = (cfg.eps0 + denom).reshape(-1) * stats.cnt * (2 * B)
     C = stats.P
-    Ct = C / s
-    C /= s[:, None]
-    # Row-major, (i, B + i) is flat entry B + i(2B + 1) and (B + i, i) is
-    # 2B^2 + i(2B + 1): basic slices, a third of the cost of fancy indexing.
+    step = _BLOCK // (2 * B) or 1
+    for r in range(0, 2 * B, step):
+        Ct = C[r:r + step] / s
+        C[r:r + step] /= s[r:r + step, None]
+        C[r:r + step] += Ct
+        del Ct      # so that two blocks of C^T are never alive at once
+    # P is 0 at the positive entries. Row-major, (i, B + i) is flat entry
+    # B + i(2B + 1) and (B + i, i) is 2B^2 + i(2B + 1): basic slices.
     C.reshape(-1)[B:2 * B * B:2 * B + 1] = -1.0 / B
-    Ct.reshape(-1)[2 * B * B::2 * B + 1] = -1.0 / B
-    C += Ct
+    C.reshape(-1)[2 * B * B::2 * B + 1] = -1.0 / B
     return encoder.backward_batch(params, stats.cache, C @ stats.E)
 
 

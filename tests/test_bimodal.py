@@ -10,9 +10,12 @@ from gcobench import (NumericError, OptimizerState, PairedDataset, encode,
                       encode_batch, backward_batch, finite_diff_flat,
                       make_bimodal_state, twoway_estimator, twoway_oracle_F,
                       twoway_oracle_value, twoway_step, twoway_update_u)
+from gcobench import bimodal
 from gcobench.bimodal import (TWOWAY_ORACLE_GUARD, flat_to_pair, pair_to_flat)
+from gcobench.embed_core import IndexSampler
 from gcobench.optimizers import ADAM_EPS
 
+import reference
 from conftest import (make_paired_instance, orthogonal_paired_instance,
                       traced_peak)
 
@@ -148,10 +151,10 @@ def test_twoway_update_u_honours_u_lag():
     np.testing.assert_array_equal(state.u[:, idx], [u_i, u_t])
 
 
-def test_twoway_kernels_hold_two_square_arrays():
+def test_twoway_kernels_hold_one_square_array():
     """At n = 512 one n x n float64 array is 2 MiB. The estimator and the
-    oracle hold the masses and the grid of reciprocal sums, and no more than
-    half a third array besides."""
+    oracle hold the score grid, which the masses and then the contrast
+    matrix are written over, and no more than half a second array besides."""
     n = 512
     pds, params_i, params_t, cfg = make_paired_instance(n=n, seed=1)
     res = twoway_oracle_F(params_i, params_t, cfg, pds)
@@ -161,7 +164,40 @@ def test_twoway_kernels_hold_two_square_arrays():
     for run in (lambda: twoway_estimator(state, params_i, params_t, cfg,
                                          np.arange(n), pds),
                 lambda: twoway_oracle_F(params_i, params_t, cfg, pds)):
-        assert traced_peak(run) < 2.5 * square
+        assert traced_peak(run) < 1.5 * square
+
+
+@pytest.mark.parametrize("sampling", ["epoch_shuffle", "with_replacement"])
+def test_twoway_grid_row_blocks_keep_the_bits(sampling, monkeypatch):
+    """The grid of reciprocal sums applied in single-row blocks, ragged 5-row
+    blocks and one whole block gives the reference step's bits: two steps
+    at B = 8, 32, 126, 128 and 334, at eps0 > 0 with a warm u."""
+    n = 334
+    pds, pi, pt, cfg = make_paired_instance(n=n, m=4, tau=0.3, eps0=0.2,
+                                            seed=9)
+    rng = np.random.default_rng(10)
+    d = pair_to_flat(pi, pt).shape[0]
+    u = rng.uniform(0.5, 3.0, (2, n))
+    for B in (8, 32, 126, 128, 334):
+        sampler = IndexSampler(n, B, rng, sampling)
+        batches = [sampler.next_indices() for _ in range(2)]
+        ref = reference.make_bimodal_state(n, d, eta=0.1, gamma=0.6)
+        ref.u_image[:], ref.u_text[:] = u
+        p_ref = (pi, pt)
+        for idx in batches:
+            p_ref = reference.twoway_step(ref, *p_ref, cfg, idx, pds)
+        for rows in (1, 5, B):
+            new = make_bimodal_state(n, d, eta=0.1, gamma=0.6)
+            new.u[:] = u
+            p_new = (pi, pt)
+            with monkeypatch.context() as patch:
+                patch.setattr(bimodal, "_BLOCK", rows * B)
+                for idx in batches:
+                    p_new = twoway_step(new, *p_new, cfg, idx, pds)
+            assert np.array_equal(pair_to_flat(*p_new),
+                                  pair_to_flat(*p_ref)), (B, rows)
+            assert np.array_equal(new.u[0], ref.u_image), (B, rows)
+            assert np.array_equal(new.u[1], ref.u_text), (B, rows)
 
 
 @pytest.mark.parametrize("indices", [[-1, 5], [0.0, 1.0]])
