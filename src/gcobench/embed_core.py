@@ -215,8 +215,7 @@ class MinibatchSampler(IndexSampler):
 
     def next_batch(self) -> MiniBatch:
         idx = self.next_indices()
-        aug_a = self.rng.integers(0, self.K, size=self.B)
-        aug_b = self.rng.integers(0, self.K, size=self.B)
+        aug_a, aug_b = self.rng.integers(0, self.K, (2, self.B))
         # Drawn here as int arrays in range, which MiniBatch's checks would
         # only confirm.
         return unchecked(MiniBatch, indices=idx, aug_a=aug_a, aug_b=aug_b)

@@ -573,22 +573,14 @@ def _differences(name: str, differences, f, at) -> np.ndarray:
         raise NumericError(f"{name}: {exc}") from exc
 
 
-def _fd_check(name: str, analytic: np.ndarray, differences, f,
-              at) -> GradcheckResult:
-    """analytic against _differences(name, differences, f, at)."""
-    fd = _differences(name, differences, f, at)
-    return GradcheckResult(name=name, rel_err=_rel_err(analytic, fd),
-                           tol=FD_TOL)
-
-
 def gradcheck(config: RunConfig) -> GradcheckReport:
     """Check every analytic gradient on the configured (small) instance.
 
-    Finite-difference comparisons run at tolerance 1e-5, estimator-vs-
-    estimator identities at 1e-8. Guards against instances with more than
-    200 encoder parameters, where central differencing gets slow and noisy.
-    Validates the run, at a batch of at most dataset.n, under both
-    objectives.
+    Each check is one row, (name, computed, reference, tolerance): finite
+    differences at 1e-5, estimator-vs-estimator identities at 1e-8. Guards
+    against instances with more than 200 encoder parameters, where central
+    differencing gets slow and noisy. Validates the run, at a batch of at
+    most dataset.n, under both objectives.
     """
     run = replace(config, batch_size=min(config.batch_size, config.n))
     validate_config(run)
@@ -605,50 +597,47 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
         raise ConfigError(f"gradcheck instance has {max(d_uni, d_pair)} "
                           f"parameters, guard is {GRADCHECK_GUARD}")
 
-    checks = []
-
     # Exact oracles against central differences, both versions read off one
-    # value pass per difference point.
+    # value pass per difference point. The pass is named for v1: wherever
+    # v2's value is non-finite, v1's is too, so the first bad coordinate is
+    # v1's.
     cfg_u = _objective_config(uni)
     cfgs = [replace(cfg_u, version=version) for version in VERSIONS]
     grads = [oracle_F(params, cfg_v, ds, fam).grad for cfg_v in cfgs]
-    # Named for v1: wherever v2's value is non-finite, v1's is too, so the
-    # first bad coordinate is v1's.
     fd = _differences("oracle_v1_grad", finite_diff_grad,
                       lambda p: _oracle_values(p, cfgs, ds, fam), params)
-    for cfg_v, grad, column in zip(cfgs, grads, fd.T):
-        checks.append(GradcheckResult(name=f"oracle_{cfg_v.version}_grad",
-                                      rel_err=_rel_err(grad, column),
-                                      tol=FD_TOL))
+    rows = [(f"oracle_{cfg_v.version}_grad", grad, column, FD_TOL)
+            for cfg_v, grad, column in zip(cfgs, grads, fd.T)]
 
     # Two-way oracle against central differences over both encoders jointly.
     cfg_bi = _objective_config(bi)
     res_bi = twoway_oracle_F(params, params_ti, cfg_bi, pds)
-    w0 = bimodal.pair_to_flat(params, params_ti)
 
     def bi_value(vec: np.ndarray) -> float:
         pi, pt = bimodal.flat_to_pair(params, params_ti, vec)
         return twoway_oracle_value(pi, pt, cfg_bi, pds)
 
-    checks.append(_fd_check("twoway_oracle_grad", res_bi.grad,
-                            finite_diff_flat, bi_value, w0))
+    rows.append(("twoway_oracle_grad", res_bi.grad, _differences(
+        "twoway_oracle_grad", finite_diff_flat, bi_value,
+        pair_to_flat(params, params_ti)), FD_TOL))
 
     # In-batch estimator against differences of its own batch loss.
     rng = np.random.default_rng(run.train_seed)
     batch = sample_minibatch(ds, fam, run.batch_size, rng, "epoch_shuffle")
     est = simclr_estimator(params, cfg_u, batch, ds, fam)
-    checks.append(_fd_check(
-        "simclr_estimator_vs_loss", est, finite_diff_grad,
-        lambda p: simclr_batch_loss(p, cfg_u, batch, ds, fam), params))
+    rows.append(("simclr_estimator_vs_loss", est, _differences(
+        "simclr_estimator_vs_loss", finite_diff_grad,
+        lambda p: simclr_batch_loss(p, cfg_u, batch, ds, fam), params),
+        FD_TOL))
 
     # Frozen-weight surrogate against the moving-average estimator.
     state = make_sogclr_state(run.n, d_uni, eta=run.eta, gamma=run.gamma,
                               beta=run.beta)
     sogclr_update_u(state, params, cfg_u, batch, ds, fam)
-    report = sogclr_estimator(state, params, cfg_u, batch, ds, fam)
+    m = sogclr_estimator(state, params, cfg_u, batch, ds, fam).estimator
     _, eval_fn = dcl_surrogate(state, params, cfg_u, batch, ds, fam)
-    checks.append(_fd_check("dcl_surrogate_vs_sogclr", report.estimator,
-                            finite_diff_grad, eval_fn, params))
+    rows.append(("dcl_surrogate_vs_sogclr", m, _differences(
+        "dcl_surrogate_vs_sogclr", finite_diff_grad, eval_fn, params), FD_TOL))
 
     # Full-batch single-view moving-average estimator against the exact
     # version-2 oracle gradient (an algebraic identity, so 1e-8).
@@ -658,22 +647,20 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
                      aug_b=np.zeros(run.n, dtype=int))
     cfg_v2 = replace(cfg_u, eps0=0.0, version="v2")
     state1 = make_sogclr_state(run.n, d_uni, eta=run.eta, gamma=1.0)
-    m_full = sogclr_estimator(state1, params, cfg_v2, full, ds, fam1).estimator
-    oracle_full = oracle_F(params, cfg_v2, ds, fam1).grad
-    checks.append(GradcheckResult(name="sogclr_vs_oracle_v2",
-                                  rel_err=_rel_err(m_full, oracle_full),
-                                  tol=EXACT_TOL))
+    rows.append(("sogclr_vs_oracle_v2", sogclr_estimator(
+        state1, params, cfg_v2, full, ds, fam1).estimator,
+        oracle_F(params, cfg_v2, ds, fam1).grad, EXACT_TOL))
 
     # Two-way estimator with statistics planted at their exact values.
     state_bi = make_bimodal_state(run.n, d_pair, eta=run.eta)
     state_bi.u[:] = res_bi.g_image, res_bi.g_text
-    est_bi = twoway_estimator(state_bi, params, params_ti, cfg_bi,
-                              np.arange(run.n), pds)
-    checks.append(GradcheckResult(name="twoway_planted_u",
-                                  rel_err=_rel_err(est_bi, res_bi.grad),
-                                  tol=EXACT_TOL))
+    rows.append(("twoway_planted_u", twoway_estimator(
+        state_bi, params, params_ti, cfg_bi, np.arange(run.n), pds),
+        res_bi.grad, EXACT_TOL))
 
-    return GradcheckReport(checks=tuple(checks))
+    return GradcheckReport(checks=tuple(
+        GradcheckResult(name, _rel_err(computed, reference), tol)
+        for name, computed, reference, tol in rows))
 
 
 def _metrics_text(records, fmt: str) -> str:

@@ -605,6 +605,39 @@ def test_gradcheck_detects_broken_backward(monkeypatch):
     assert "simclr_estimator_vs_loss" in failures
 
 
+def _off(array):
+    return array * (1 + 1e-3)
+
+
+ROW_INPUTS = {
+    "oracle_F": (lambda r: replace(r, grad=_off(r.grad)),
+                 {"oracle_v1_grad", "oracle_v2_grad", "sogclr_vs_oracle_v2"}),
+    "twoway_oracle_F": (lambda r: replace(r, grad=_off(r.grad)),
+                        {"twoway_oracle_grad", "twoway_planted_u"}),
+    "simclr_estimator": (_off, {"simclr_estimator_vs_loss"}),
+    "sogclr_estimator": (lambda r: replace(r, estimator=_off(r.estimator)),
+                         {"dcl_surrogate_vs_sogclr", "sogclr_vs_oracle_v2"}),
+    "dcl_surrogate": (lambda out: (out[0], lambda p: _off(out[1](p))),
+                      {"dcl_surrogate_vs_sogclr"}),
+    "twoway_estimator": (_off, {"twoway_planted_u"}),
+}
+
+
+@pytest.mark.parametrize("producer", ROW_INPUTS)
+def test_gradcheck_rows_fail_where_their_inputs_are_wrong(monkeypatch,
+                                                          producer):
+    """An output of one producer 1e-3 off fails exactly the rows that read
+    it, so each row compares what its name says."""
+    wrong, failing = ROW_INPUTS[producer]
+    original = getattr(harness, producer)
+    monkeypatch.setattr(harness, producer,
+                        lambda *args: wrong(original(*args)))
+    report = gradcheck(RunConfig(n=5, d_in=4, batch_size=4, m_embed=3,
+                                 d_text=3))
+    assert tuple(c.name for c in report.checks) == GRADCHECK_NAMES
+    assert {c.name for c in report.checks if not c.passed} == failing
+
+
 def tiny_run(**changes):
     """A gradcheck instance at n <= 8 with make_instance's sizes."""
     return replace(RunConfig(n=4, d_in=4, m_embed=3, d_hidden=6, d_text=3,
