@@ -177,7 +177,7 @@ def twoway_update_u(state: OptimizerState, params_image, params_text,
     """u_i <- (1-gamma) u_i + gamma gbar(batch) on both sides, batch entries
     only, under the state's u_lag rule (refresh). Returns the new (u_image,
     u_text) values in slot order; a repeated index keeps its last slot."""
-    idx = index_array("indices", indices, 2)
+    idx = index_array("indices", indices)
     stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
                           ds.text[idx])
     _, u_new = state.refresh(idx, stats.g)
@@ -190,7 +190,7 @@ def twoway_estimator(state: OptimizerState, params_image, params_text,
                      ds: PairedDataset) -> np.ndarray:
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
-    idx = index_array("indices", indices, 2)
+    idx = index_array("indices", indices)
     stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
                           ds.text[idx])
     u = state.u[:, idx]
@@ -205,7 +205,7 @@ def twoway_step(state: OptimizerState, params_image, params_text,
     """One optimizer step over both parameter blocks jointly, from one pass
     over the batch: the denominators and new u of the state's u_lag rule
     (refresh), the estimator, the stored u, then the step rule."""
-    idx = index_array("indices", indices, 2)
+    idx = index_array("indices", indices)
     stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
                           ds.text[idx])
     denom, u_new = state.refresh(idx, stats.g)

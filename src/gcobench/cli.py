@@ -63,7 +63,7 @@ def _load(args) -> RunConfig:
             # No config file given; the first positional is already an override.
             overrides.insert(0, args.config)
         else:
-            config = harness.load_config(args.config, base=config)
+            config = harness.load_config(args.config)
     return harness.apply_overrides(config, overrides)
 
 

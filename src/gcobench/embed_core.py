@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BOOL = np.dtype(bool)      # the one bool dtype numpy gives every bool array
-
 
 def row_array(name: str, values, min_rows: int) -> np.ndarray:
     """values as a finite 2-d float array of at least min_rows rows."""
@@ -28,14 +26,13 @@ def row_array(name: str, values, min_rows: int) -> np.ndarray:
     return a
 
 
-def index_array(name: str, values, min_len: int, ndim: int = 1) -> np.ndarray:
-    """values as an int array of ndim axes, the last at least min_len long,
-    of nonnegative integers. numpy would truncate a float index and wrap a
-    negative one: the wrong sample's u written, the wrong negatives masked."""
+def index_array(name: str, values) -> np.ndarray:
+    """values as a 1-d int array of 2 or more nonnegative integers. numpy
+    would truncate a float index and wrap a negative one: the wrong sample's
+    u written, the wrong negatives masked."""
     a = np.asarray(values)
-    if a.ndim != ndim or a.shape[-1] < min_len:
-        raise ValueError(f"{name} must be a {ndim}-d array of {min_len} or "
-                         f"more entries")
+    if a.ndim != 1 or a.shape[0] < 2:
+        raise ValueError(f"{name} must be a 1-d array of 2 or more entries")
     if a.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, not {a.dtype}")
     if a.min() < 0:
@@ -146,24 +143,10 @@ class MiniBatch:
     aug_b: np.ndarray           # (B,)
 
     def __post_init__(self):
-        # One check over the stacked rows costs a third of three checks.
-        # Stacked with integers, a bool mask would pass as indices 0 and 1,
-        # so it goes to the checks one by one.
-        names = ("indices", "aug_a", "aug_b")
-        args = (np.asarray(self.indices), np.asarray(self.aug_a),
-                np.asarray(self.aug_b))
-        try:
-            if (args[0].dtype is _BOOL or args[1].dtype is _BOOL
-                    or args[2].dtype is _BOOL):
-                raise ValueError
-            rows = index_array("mini-batch", args, 2, ndim=2)
-        except ValueError:      # one by one, to name the argument at fault
-            rows = [index_array(name, a, 2) for name, a in zip(names, args)]
-            if len({row.shape for row in rows}) > 1:
-                raise ValueError("aug_a and aug_b must match indices in "
-                                 "length") from None
-        for k, name in enumerate(names):    # indexing beats iterating rows
-            object.__setattr__(self, name, rows[k])
+        for name in ("indices", "aug_a", "aug_b"):
+            object.__setattr__(self, name, index_array(name, getattr(self, name)))
+        if not self.indices.shape == self.aug_a.shape == self.aug_b.shape:
+            raise ValueError("aug_a and aug_b must match indices in length")
 
     @property
     def B(self) -> int:
@@ -247,8 +230,9 @@ def batch_views(ds: Dataset, fam: AugmentationFamily, batch: MiniBatch) -> np.nd
     return X
 
 
-def create_text(path: str, newline: str | None = None):
-    """Open path for writing ASCII text as a new file.
+def create_text(path: str):
+    """Open path for writing ASCII text as a new file, with no newline
+    translation, so the bytes written are the same on every platform.
 
     An existing regular file that this process may write and that has no
     other hard link is unlinked first rather than truncated: on ext4,
@@ -269,4 +253,4 @@ def create_text(path: str, newline: str | None = None):
             os.unlink(path)
     except OSError:
         pass        # missing or not removable: open() creates, truncates or reports
-    return open(path, "w", encoding="ascii", newline=newline)
+    return open(path, "w", encoding="ascii", newline="")

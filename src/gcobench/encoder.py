@@ -213,7 +213,7 @@ def _encoder_text(params: EncoderParams) -> str:
 def save_encoder(params: EncoderParams, path: str) -> None:
     """Write params as _encoder_text."""
     try:
-        with create_text(path, newline="") as fh:
+        with create_text(path) as fh:
             fh.write(_encoder_text(params))
     except OSError as exc:
         raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc

@@ -158,7 +158,7 @@ def _apply_pairs(config: RunConfig, pairs, where: str) -> RunConfig:
     return replace(config, **updates)
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     """Read a flat `key = value` file ( '#' comments, blank lines allowed )."""
     pairs = []
     try:
@@ -175,7 +175,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
                               f"got {text!r}")
         key, raw = text.split("=", 1)
         pairs.append((key.strip(), raw.strip()))
-    return _apply_pairs(base if base is not None else RunConfig(), pairs, path)
+    return _apply_pairs(RunConfig(), pairs, path)
 
 
 def apply_overrides(config: RunConfig, overrides) -> RunConfig:
@@ -524,7 +524,7 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
 
 def save_sweep(result: SweepResult, path: str) -> None:
     try:
-        with create_text(path, newline="") as fh:
+        with create_text(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["batch_size", "plateau_mean", "plateau_std"])
             for row in result.rows:
@@ -682,7 +682,7 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
     text = _metrics_text(records, fmt)
     try:
-        with create_text(path, newline="") as fh:
+        with create_text(path) as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc

@@ -63,6 +63,19 @@ def test_minibatch_validation():
         MiniBatch(indices=[0], aug_a=[0], aug_b=[0])
     with pytest.raises(ValueError):
         MiniBatch(indices=[0, 1], aug_a=[0], aug_b=[0, 1])
+    for aug_a, aug_b in (([0, 1], [0, 1, 0]), ([0, 1, 0], [0, 1])):
+        with pytest.raises(ValueError, match="^aug_a and aug_b must match "
+                                             "indices in length"):
+            MiniBatch(indices=[0, 1, 2], aug_a=aug_a, aug_b=aug_b)
+    # Mixed integer dtypes, which numpy promotes to float64 when they are
+    # combined, are each kept with their values as np.int_ arrays.
+    mixed = MiniBatch(indices=np.array([3, 0, 2], dtype=np.uint64),
+                      aug_a=np.array([1, 0, 1], dtype=np.int32),
+                      aug_b=[0, 0, 1])
+    for got, want in zip((mixed.indices, mixed.aug_a, mixed.aug_b),
+                         ([3, 0, 2], [1, 0, 1], [0, 0, 1])):
+        assert got.dtype == np.int_
+        np.testing.assert_array_equal(got, want)
     # numpy would wrap -1 to the last sample, and masking by index value
     # would then let sample n - 1 be its own negative.
     with pytest.raises(ValueError, match="^indices must be nonnegative"):
