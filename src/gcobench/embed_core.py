@@ -35,9 +35,10 @@ def index_array(name: str, values) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-d array of 2 or more entries")
     if a.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, not {a.dtype}")
+    a = a.astype(int, copy=False)   # first: a huge uint64 entry wraps negative
     if a.min() < 0:
         raise ValueError(f"{name} must be nonnegative")
-    return a.astype(int, copy=False)
+    return a
 
 
 def check_index(what: str, j: int, size: int) -> None:
@@ -230,9 +231,10 @@ def batch_views(ds: Dataset, fam: AugmentationFamily, batch: MiniBatch) -> np.nd
     return X
 
 
-def create_text(path: str):
-    """Open path for writing ASCII text as a new file, with no newline
-    translation, so the bytes written are the same on every platform.
+def write_text(path: str, text: str, what: str) -> None:
+    """Write text to path as ASCII into a new file, with no newline
+    translation, so the bytes written are the same on every platform. An
+    OSError is raised again as "cannot write <what> to <path>: ...".
 
     An existing regular file that this process may write and that has no
     other hard link is unlinked first rather than truncated: on ext4,
@@ -253,4 +255,8 @@ def create_text(path: str):
             os.unlink(path)
     except OSError:
         pass        # missing or not removable: open() creates, truncates or reports
-    return open(path, "w", encoding="ascii", newline="")
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import check_setting, create_text, row_array, unchecked
+from .embed_core import check_setting, row_array, unchecked, write_text
 
 ARCHITECTURES = ("linear", "one_hidden")
 
@@ -212,11 +212,7 @@ def _encoder_text(params: EncoderParams) -> str:
 
 def save_encoder(params: EncoderParams, path: str) -> None:
     """Write params as _encoder_text."""
-    try:
-        with create_text(path) as fh:
-            fh.write(_encoder_text(params))
-    except OSError as exc:
-        raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc
+    write_text(path, _encoder_text(params), "checkpoint")
 
 
 def load_encoder(path: str) -> EncoderParams:

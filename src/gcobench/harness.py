@@ -12,7 +12,6 @@ timing is enabled).
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import os
@@ -27,8 +26,8 @@ from .bimodal import (PairedDataset, make_bimodal_state, pair_to_flat,
                       twoway_estimator, twoway_oracle_F, twoway_oracle_value,
                       twoway_step)
 from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
-                         IndexSampler, check_setting, create_text,
-                         make_augmentation_family, sample_minibatch)
+                         IndexSampler, check_setting, make_augmentation_family,
+                         sample_minibatch, write_text)
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
                       flatten_params, init_encoder, save_encoder)
 from .objective import (ORACLE_GUARD, TILE_GUARD, VERSIONS,
@@ -523,15 +522,10 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
 
 
 def save_sweep(result: SweepResult, path: str) -> None:
-    try:
-        with create_text(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["batch_size", "plateau_mean", "plateau_std"])
-            for row in result.rows:
-                writer.writerow([row.batch_size, repr(row.plateau_mean),
-                                 repr(row.plateau_std)])
-    except OSError as exc:
-        raise OSError(f"cannot write sweep results to {path}: {exc}") from exc
+    lines = ["batch_size,plateau_mean,plateau_std"]
+    lines += [f"{row.batch_size},{row.plateau_mean!r},{row.plateau_std!r}"
+              for row in result.rows]
+    write_text(path, "".join(line + "\n" for line in lines), "sweep results")
 
 
 @dataclass(frozen=True)
@@ -680,12 +674,7 @@ def emit_metrics(records, path: str, fmt: str = "csv") -> None:
     """Write records as _metrics_text; the file round-trips exactly."""
     if fmt not in METRICS_FORMATS:
         raise ConfigError(f"metrics format must be one of {METRICS_FORMATS}")
-    text = _metrics_text(records, fmt)
-    try:
-        with create_text(path) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    write_text(path, _metrics_text(records, fmt), "metrics")
 
 
 def read_metrics(path: str, fmt: str = "csv"):

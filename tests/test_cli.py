@@ -244,6 +244,11 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
      "i/o error: cannot write checkpoint to MISSING: "),
     (["bimodal-train", "optimizer.steps=2", "checkpoint.path=MISSING"],
      EXIT_IO, "i/o error: cannot write checkpoint to MISSING.image: "),
+    (["sweep", "sweep.batch_sizes=4", "sweep.seeds=1", "optimizer.steps=2",
+      "sweep.path=MISSING"], EXIT_IO,
+     "i/o error: cannot write sweep results to MISSING: "),
+    (["train", "optimizer.steps=2", "metrics.path=MISSING"], EXIT_IO,
+     "i/o error: cannot write metrics to MISSING: "),
     (["train", "optimizer.batch_size=64"], EXIT_CONFIG, "config error: batch "
      "size 64 exceeds dataset.n = 32 under epoch_shuffle\n"),
     (["sweep", "sweep.batch_sizes=4,64,16"], EXIT_CONFIG, "config error: "
@@ -254,7 +259,8 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
         "step-0-collapsed-embedding", "checkpoint-not-writable",
-        "bimodal-checkpoint-not-writable", "batch-exceeds-dataset",
+        "bimodal-checkpoint-not-writable", "sweep-not-writable",
+        "metrics-not-writable", "batch-exceeds-dataset",
         "sweep-batch-exceeds-dataset", "oracle-tile-past-blas-bound"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -12,7 +12,7 @@ from gcobench import (AugmentationFamily, Dataset, MiniBatch,
                       batch_views, make_augmentation_family,
                       sample_minibatch)
 import gcobench
-from gcobench.embed_core import SAMPLING_MODES, IndexSampler, create_text
+from gcobench.embed_core import SAMPLING_MODES, IndexSampler, write_text
 
 import reference
 
@@ -80,6 +80,11 @@ def test_minibatch_validation():
     # would then let sample n - 1 be its own negative.
     with pytest.raises(ValueError, match="^indices must be nonnegative"):
         MiniBatch(indices=[-1, 3], aug_a=[0, 1], aug_b=[1, 0])
+    # An unsigned entry past np.int_'s range would wrap to a negative index.
+    for big in (2**64 - 1, 2**63 + 1):
+        with pytest.raises(ValueError, match="^indices must be nonnegative"):
+            MiniBatch(indices=np.array([big, 0], dtype=np.uint64),
+                      aug_a=[0, 1], aug_b=[0, 1])
     # numpy would truncate 0.5 and 2.7 to samples 0 and 2, and 1.9 to view
     # 1; a negative view would wrap to view K - 1.
     with pytest.raises(ValueError, match="^indices must hold integers"):
@@ -250,36 +255,37 @@ def test_batch_views_layout():
                                       ds.points[i] + fam.deltas[batch.aug_b[t]])
 
 
-def test_create_text_replaces_a_regular_file(tmp_path):
+def test_write_text_replaces_a_regular_file(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("older and longer content\n")
-    with create_text(str(path)) as fh:
-        fh.write("new\n")
+    with open(path) as old:
+        write_text(str(path), "new\n", "test output")
+        # Unlinked, not truncated: the open old file keeps its text.
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == "older and longer content\n"
     assert path.read_text() == "new\n"
 
 
-def test_create_text_writes_through_a_symlink(tmp_path):
+def test_write_text_writes_through_a_symlink(tmp_path):
     target = tmp_path / "target.txt"
     target.write_text("older and longer content\n")
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    with create_text(str(link)) as fh:
-        fh.write("new\n")
+    write_text(str(link), "new\n", "test output")
     assert link.is_symlink()
     assert target.read_text() == "new\n"
 
 
-def test_create_text_writes_through_a_hard_link(tmp_path):
+def test_write_text_writes_through_a_hard_link(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("older and longer content\n")
     other = tmp_path / "other.txt"
     os.link(path, other)
-    with create_text(str(path)) as fh:
-        fh.write("new\n")
+    write_text(str(path), "new\n", "test output")
     assert other.read_text() == "new\n"
 
 
-def test_create_text_keeps_a_file_it_may_not_write(tmp_path, monkeypatch):
+def test_write_text_keeps_a_file_it_may_not_write(tmp_path, monkeypatch):
     # A file created anew would get mode 0o644 under this umask; the kept
     # one keeps 0o600. (Root may still open it, so the write succeeds.)
     path = tmp_path / "out.txt"
@@ -288,8 +294,7 @@ def test_create_text_keeps_a_file_it_may_not_write(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
     umask = os.umask(0o022)
     try:
-        with create_text(str(path)) as fh:
-            fh.write("new\n")
+        write_text(str(path), "new\n", "test output")
     finally:
         os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o600

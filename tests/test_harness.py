@@ -483,6 +483,9 @@ def test_sweep_batch_size_aggregates(tmp_path):
     text = (tmp_path / "sweep.csv").read_text()
     assert text.splitlines()[0] == "batch_size,plateau_mean,plateau_std"
     assert len(text.splitlines()) == 3
+    for line, row in zip(text.splitlines()[1:], result.rows):
+        assert line == (f"{row.batch_size},{row.plateau_mean!r},"
+                        f"{row.plateau_std!r}")
 
 
 def cpus(monkeypatch, count: int) -> None:
