@@ -67,12 +67,12 @@ class TwowayOracleResult:
 
 
 def make_bimodal_state(n: int, d: int, eta: float, gamma: float = 0.8,
-                       beta: float = 0.9, step_rule: str = "momentum",
+                       beta: float = 0.9,
                        u_lag: str = "fresh") -> OptimizerState:
     """Zero-initialized statistics (rows u_image, u_text) for n pairs and
-    d = d_image + d_text concatenated parameters."""
-    return OptimizerState(eta=eta, beta=beta, gamma=gamma, step_rule=step_rule,
-                          u_lag=u_lag, u=np.zeros((2, n)), v=np.zeros(d))
+    d = d_image + d_text concatenated parameters, under the momentum rule."""
+    return OptimizerState(eta=eta, beta=beta, gamma=gamma, u_lag=u_lag,
+                          u=np.zeros((2, n)), v=np.zeros(d))
 
 
 def pair_to_flat(params_image, params_text) -> np.ndarray:

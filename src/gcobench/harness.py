@@ -129,10 +129,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty integer list")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in raw.split(","))
 
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
@@ -414,11 +411,11 @@ class SweepResult:
 
 
 def _outcome(cell: RunConfig):
-    """(True, the cell's plateau), or (False, the error it raised)."""
+    """The cell's plateau, or the error it raised."""
     try:
-        return True, plateau(train(cell))
+        return plateau(train(cell))
     except Exception as exc:        # reported by the sweep, in cell order
-        return False, exc
+        return exc
 
 
 def _send_outcome(conn, cell: RunConfig) -> None:
@@ -434,7 +431,7 @@ def _forked_outcomes(cells, workers: int):
 
     Each cell sends its outcome on a pipe of its own, so a killed cell holds
     no lock that another needs, and a cell that dies is seen as the end of
-    its pipe."""
+    its pipe; its outcome is then a ChildProcessError."""
     import multiprocessing          # on first use: it costs set-up time
     from multiprocessing.connection import wait
     fork = multiprocessing.get_context("fork")
@@ -467,10 +464,8 @@ def _forked_outcomes(cells, workers: int):
                         pass
                     reader.close()
                     proc.join()
-                    done.setdefault(j, (False, ChildProcessError(
-                        f"sweep cell B={cells[j].batch_size} seed="
-                        f"{cells[j].train_seed}: its process exited with "
-                        f"code {proc.exitcode}")))
+                    done.setdefault(j, ChildProcessError(
+                        f"its process exited with code {proc.exitcode}"))
             yield done.pop(i)
     finally:
         for reader, (_, proc) in running.items():
@@ -500,21 +495,20 @@ def sweep_batch_size(config: RunConfig) -> SweepResult:
                 else (_outcome(cell) for cell in cells))
     plateaus = []
     with contextlib.closing(outcomes):
-        for cell, (ok, value) in zip(cells, outcomes):
-            if isinstance(value, NumericError):
-                raise NumericError(f"sweep cell B={cell.batch_size} "
-                                   f"seed={cell.train_seed}: {value}") from value
-            if not ok:
+        for cell, value in zip(cells, outcomes):
+            if isinstance(value, (NumericError, ChildProcessError)):
+                raise type(value)(f"sweep cell B={cell.batch_size} "
+                                  f"seed={cell.train_seed}: {value}") from value
+            if isinstance(value, Exception):
                 raise value
             plateaus.append(value)
+    table = np.array(plateaus).reshape(len(config.sweep_batch_sizes),
+                                       len(config.sweep_seeds))
     rows = []
-    per_b = len(config.sweep_seeds)
-    for j, b in enumerate(config.sweep_batch_sizes):
-        values = plateaus[j * per_b:(j + 1) * per_b]
-        arr = np.array(values)
+    for b, arr in zip(config.sweep_batch_sizes, table):
         std = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
         rows.append(SweepRow(batch_size=int(b), plateau_mean=float(arr.mean()),
-                             plateau_std=std, plateaus=tuple(values)))
+                             plateau_std=std, plateaus=tuple(arr.tolist())))
     result = SweepResult(rows=tuple(rows))
     if config.sweep_path:
         save_sweep(result, config.sweep_path)

@@ -54,7 +54,8 @@ def test_bimodal_state_validation():
         OptimizerState(u=np.zeros((3, 2)), eta=0.1)
     with pytest.raises(ValueError):
         OptimizerState(u=np.array([[-1.0], [0.0]]), eta=0.1)
-    state = make_bimodal_state(3, 8, eta=0.1, step_rule="adam_style")
+    state = OptimizerState(eta=0.1, step_rule="adam_style",
+                           u=np.zeros((2, 3)), v=np.zeros(8))
     assert state.adam_m.shape == (8,)
     assert state.u.shape == (2, 3)
     # The two sides are row views of u, so writes through them land in u.
@@ -312,8 +313,8 @@ def test_twoway_step_lagged_cold_start_commits_batch_masses():
 def test_bimodal_state_adam_first_step_size():
     _, pi, pt, _ = make_paired_instance(n=4, seed=11)
     w = pair_to_flat(pi, pt)
-    state = make_bimodal_state(4, w.shape[0], eta=0.05,
-                               step_rule="adam_style")
+    state = OptimizerState(eta=0.05, step_rule="adam_style",
+                           u=np.zeros((2, 4)), v=np.zeros(w.shape[0]))
     new = state.apply(w, np.full(w.shape[0], 2.0))
     # Bias correction makes the first update eta * g / (|g| + eps).
     np.testing.assert_allclose(new, w - 0.05 * 2.0 / (2.0 + ADAM_EPS),

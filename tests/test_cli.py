@@ -74,6 +74,17 @@ def test_gradcheck_subcommand(capsys):
         assert "all gradient checks passed" in out
 
 
+def test_gradcheck_failure_exits_with_check_code(monkeypatch, capsys):
+    """At a zero tolerance every finite-difference row fails; the two
+    identity rows still pass."""
+    monkeypatch.setattr(gcobench.harness, "FD_TOL", 0.0)
+    assert main(["gradcheck"]) == EXIT_CHECK_FAILED
+    *rows, last = capsys.readouterr().out.splitlines()
+    statuses = sorted(row.split()[-1] for row in rows)
+    assert statuses == ["FAIL"] * 5 + ["PASS"] * 2
+    assert last == "gradient checks FAILED"
+
+
 def test_unknown_key_exits_with_config_code(capsys):
     """A first positional with '=' that names no file is an override."""
     for key in ("optimizer.learning_rate", "foo"):

@@ -72,6 +72,14 @@ def test_apply_overrides():
         apply_overrides(RunConfig(), ["optimizer.eta"])
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), ["optimizer.learning_rate=0.5"])
+    # An empty list entry is refused, not dropped.
+    with pytest.raises(ConfigError, match="^bad value for sweep.batch_sizes "
+                       "in overrides: invalid literal for int"):
+        apply_overrides(RunConfig(), ["sweep.batch_sizes=4,,16"])
+    assert apply_overrides(RunConfig(), ["metrics.timing=off"]).timing is False
+    with pytest.raises(ConfigError, match="^bad value for metrics.timing in "
+                       "overrides: not a boolean: 'maybe'$"):
+        apply_overrides(RunConfig(), ["metrics.timing=maybe"])
 
 
 KEY_TABLE = [

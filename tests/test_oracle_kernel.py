@@ -289,6 +289,22 @@ def test_tiles_raise_under_the_callers_error_state():
     assert not np.isfinite(res.value)
 
 
+def test_a_failing_tile_cancels_the_pending_ones(monkeypatch):
+    """With 2 samples a tile, the first tile's error leaves others pending;
+    they are cancelled, and the next pass is unchanged."""
+    ds, fam, params, cfg = make_instance(n=12, K=2, seed=7)
+    monkeypatch.setattr(objective, "_TILE_MADDS",      # 2 samples per tile
+                        2 * fam.K * ds.n * fam.K * params.m)
+    before = oracle_F(params, cfg, ds, fam)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        oracle_F(params, replace(cfg, tau=1e-3), ds, fam)
+    after = oracle_F(params, cfg, ds, fam)
+    assert after.value == before.value
+    assert after.eps_sq_mean == before.eps_sq_mean
+    np.testing.assert_array_equal(after.grad, before.grad)
+    np.testing.assert_array_equal(after.per_sample_g, before.per_sample_g)
+
+
 @pytest.mark.parametrize("aug_scale", [1e-3, 1e-4, 1e-6])
 @pytest.mark.parametrize("K", [2, 3])
 @pytest.mark.parametrize("n", [2, 6])

@@ -6,9 +6,9 @@ and statistics mode must agree bit for bit."""
 import numpy as np
 import pytest
 
-from gcobench import (MinibatchSampler, flatten_params, make_bimodal_state,
-                      make_simclr_state, make_sogclr_state, simclr_step,
-                      sogclr_step, twoway_step)
+from gcobench import (MinibatchSampler, OptimizerState, flatten_params,
+                      make_bimodal_state, make_simclr_state, make_sogclr_state,
+                      simclr_step, sogclr_step, twoway_step)
 from gcobench.bimodal import pair_to_flat
 from gcobench.embed_core import IndexSampler
 
@@ -121,7 +121,11 @@ def test_twoway_steps_match_reference_bitwise(case):
     n, B = 6, 4
     pds, pi, pt, cfg = make_paired_instance(n=n, seed=33, tau=0.3)
     d = pair_to_flat(pi, pt).shape[0]
-    new = make_bimodal_state(n, d, eta=0.1, gamma=0.6, beta=0.7, **kwargs)
+    if "step_rule" in kwargs:       # make_bimodal_state builds momentum only
+        new = OptimizerState(eta=0.1, gamma=0.6, beta=0.7, u=np.zeros((2, n)),
+                             v=np.zeros(d), **kwargs)
+    else:
+        new = make_bimodal_state(n, d, eta=0.1, gamma=0.6, beta=0.7, **kwargs)
     ref = reference.make_bimodal_state(n, d, eta=0.1, gamma=0.6, beta=0.7,
                                        **kwargs)
     sampler = IndexSampler(n, B, np.random.default_rng(34), sampling)
