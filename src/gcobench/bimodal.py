@@ -84,11 +84,10 @@ def pair_to_flat(params_image, params_text) -> np.ndarray:
 def flat_to_pair(params_image, params_text, vec: np.ndarray):
     """Split a concatenated vector back into two parameter sets shaped like
     the given templates."""
-    d_image = encoder.flatten_params(params_image).shape[0]
-    d_text = encoder.flatten_params(params_text).shape[0]
-    if vec.shape != (d_image + d_text,):
-        raise ValueError(f"expected a vector of length {d_image + d_text}, "
-                         f"got shape {vec.shape}")
+    d_image, d = params_image.d, params_image.d + params_text.d
+    if vec.shape != (d,):
+        raise ValueError(f"expected a vector of length {d}, got shape "
+                         f"{vec.shape}")
     return (encoder.unflatten_params(params_image, vec[:d_image]),
             encoder.unflatten_params(params_text, vec[d_image:]))
 

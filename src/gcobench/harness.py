@@ -29,7 +29,7 @@ from .embed_core import (SAMPLING_MODES, Dataset, MiniBatch, MinibatchSampler,
                          IndexSampler, check_setting, make_augmentation_family,
                          sample_minibatch, write_text)
 from .encoder import (ARCHITECTURES, finite_diff_flat, finite_diff_grad,
-                      flatten_params, init_encoder, save_encoder)
+                      init_encoder, save_encoder)
 from .objective import (ORACLE_GUARD, TILE_GUARD, VERSIONS,
                         GlobalObjectiveConfig, _oracle_values, oracle_F)
 from .optimizers import (U_LAG_MODES, NumericError, dcl_surrogate,
@@ -193,9 +193,9 @@ def resolved_tau(config: RunConfig) -> float:
 
 def validate_config(config: RunConfig) -> None:
     """Raise ConfigError on the first field, in declaration order, that
-    breaks its rule (each entry of a tuple field, which must be nonempty),
-    then on inconsistent fields or a dataset too large for the exact oracle
-    of config.algo's objective."""
+    breaks its rule (each entry of a tuple field, which must be nonempty
+    with distinct entries), then on inconsistent fields or a dataset too
+    large for the exact oracle of config.algo's objective."""
     def need(cond: bool, msg: str) -> None:
         if not cond:
             raise ConfigError(msg)
@@ -207,6 +207,8 @@ def validate_config(config: RunConfig) -> None:
             continue
         if isinstance(values, tuple):
             need(values != (), f"{key} must be nonempty")
+            need(len(set(values)) == len(values),
+                 f"{key} entries must be distinct, got {values}")
             key += " entries"
         else:
             values = (values,)
@@ -308,7 +310,7 @@ def _unimodal_task(config: RunConfig):
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = MinibatchSampler(ds, fam, config.batch_size, rng, config.sampling)
-    d = flatten_params(params).shape[0]
+    d = params.d
     if config.algo in ("simclr", "simclr_momentum"):
         beta = 1.0 if config.algo == "simclr" else config.beta
         state = make_simclr_state(d, config.eta, beta=beta)
@@ -339,7 +341,7 @@ def _bimodal_task(config: RunConfig):
     ocfg = _objective_config(config)
     rng = np.random.default_rng(config.train_seed)
     sampler = IndexSampler(config.n, config.batch_size, rng, config.sampling)
-    d = pair_to_flat(params_i, params_t).shape[0]
+    d = params_i.d + params_t.d
     state = make_bimodal_state(config.n, d, config.eta, gamma=config.gamma,
                                beta=config.beta, u_lag=config.u_lag)
 
@@ -567,8 +569,9 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     Each check is one row, (name, computed, reference, tolerance): finite
     differences at 1e-5, estimator-vs-estimator identities at 1e-8. Guards
     against instances with more than 200 encoder parameters, where central
-    differencing gets slow and noisy. Validates the run, at a batch of at
-    most dataset.n, under both objectives.
+    differencing gets slow and noisy, and against a unimodal encoder whose
+    output layer reads one input. Validates the run, at a batch of at most
+    dataset.n, under both objectives.
     """
     run = replace(config, batch_size=min(config.batch_size, config.n))
     validate_config(run)
@@ -576,14 +579,21 @@ def gradcheck(config: RunConfig) -> GradcheckReport:
     other = replace(run, algo="sogclr" if bimodal_run else "bimodal_sogclr")
     validate_config(other)          # gradcheck runs both objectives' oracles
     uni, bi = (other, run) if bimodal_run else (run, other)
+    # With one input to the unimodal output layer, every embedding is +/-
+    # one vector and every exact gradient 0: each rel_err compares noise.
+    key, width = (("dataset.d_in", run.d_in) if run.arch == "linear"
+                  else ("encoder.d_hidden", run.d_hidden))
+    if width < 2:
+        raise ConfigError(f"gradcheck needs {key} >= 2 with encoder.arch = "
+                          f"{run.arch}: an output layer with one input makes "
+                          f"every gradient 0")
 
     ds, fam, params = _inputs(uni)
     pds, _, params_ti = _inputs(bi)
-    d_uni = flatten_params(params).shape[0]
-    d_pair = d_uni + flatten_params(params_ti).shape[0]
-    if max(d_uni, d_pair) > GRADCHECK_GUARD:
-        raise ConfigError(f"gradcheck instance has {max(d_uni, d_pair)} "
-                          f"parameters, guard is {GRADCHECK_GUARD}")
+    d_uni, d_pair = params.d, params.d + params_ti.d
+    if d_pair > GRADCHECK_GUARD:
+        raise ConfigError(f"gradcheck instance has {d_pair} parameters, "
+                          f"guard is {GRADCHECK_GUARD}")
 
     # Exact oracles against central differences, both versions read off one
     # value pass per difference point. The pass is named for v1: wherever

@@ -267,12 +267,26 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
     (["train", "dataset.n=714", "aug.k=14"], EXIT_CONFIG, "config error: "
      "aug.k * dataset.n * aug.k * encoder.m must be < 524288 for the "
      "oracle's tiles, got 559776\n"),
+    (["sweep", "dataset.n=8", "sweep.batch_sizes=4,4", "sweep.seeds=1",
+      "optimizer.steps=2"], EXIT_CONFIG,
+     "config error: sweep.batch_sizes entries must be distinct"),
+    (["sweep", "dataset.n=8", "sweep.batch_sizes=4", "sweep.seeds=1,1",
+      "optimizer.steps=2"], EXIT_CONFIG,
+     "config error: sweep.seeds entries must be distinct"),
+    (["gradcheck", "dataset.d_in=1"], EXIT_CONFIG,
+     "config error: gradcheck needs dataset.d_in >= 2 with encoder.arch = "
+     "linear"),
+    (["gradcheck", "encoder.arch=one_hidden", "encoder.d_hidden=1"],
+     EXIT_CONFIG, "config error: gradcheck needs encoder.d_hidden >= 2 with "
+     "encoder.arch = one_hidden"),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
         "step-0-collapsed-embedding", "checkpoint-not-writable",
         "bimodal-checkpoint-not-writable", "sweep-not-writable",
         "metrics-not-writable", "batch-exceeds-dataset",
-        "sweep-batch-exceeds-dataset", "oracle-tile-past-blas-bound"])
+        "sweep-batch-exceeds-dataset", "oracle-tile-past-blas-bound",
+        "sweep-repeated-batch-size", "sweep-repeated-seed",
+        "gradcheck-linear-one-input", "gradcheck-one-hidden-unit"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")

@@ -599,6 +599,14 @@ def test_gradcheck_passes_where_only_masked_masses_overflow():
         assert gradcheck(RunConfig(n=4, batch_size=4, tau=1.4e-3)).passed
 
 
+def test_gradcheck_passes_on_a_one_hidden_encoder_with_one_input():
+    """The refusal of an output layer with one input does not reach the
+    hidden layer's input: its d_hidden units still vary the embeddings."""
+    report = gradcheck(RunConfig(arch="one_hidden", d_in=1))
+    assert tuple(c.name for c in report.checks) == GRADCHECK_NAMES
+    assert report.passed
+
+
 def test_gradcheck_guard_rejects_large_encoders():
     with pytest.raises(ConfigError):
         gradcheck(RunConfig(n=8, d_in=64, m_embed=8))
