@@ -104,8 +104,10 @@ class _PairStats:
 
 
 def _paired_stats(params_image, params_text, cfg: GlobalObjectiveConfig,
-                  image: np.ndarray, text: np.ndarray) -> _PairStats:
-    """The batch kernel: statistics of the aligned rows image and text."""
+                  ds: PairedDataset, idx: np.ndarray | None = None) -> _PairStats:
+    """The batch kernel: statistics of the pairs of ds at the checked indices
+    idx, or of all n pairs, uncopied, when idx is None (the oracle)."""
+    image, text = (a if idx is None else a[idx] for a in (ds.image, ds.text))
     EI, cache_i = encoder.encode_batch(params_image, image)
     ET, cache_t = encoder.encode_batch(params_text, text)
     expS = EI @ ET.T
@@ -146,7 +148,7 @@ def _oracle_core(params_image, params_text, cfg: GlobalObjectiveConfig,
         raise OracleSizeError(
             f"two-way oracle enumeration over n = {n} exceeds the guard "
             f"({TWOWAY_ORACLE_GUARD})")
-    stats = _paired_stats(params_image, params_text, cfg, ds.image, ds.text)
+    stats = _paired_stats(params_image, params_text, cfg, ds)
     d = cfg.eps0 + stats.g
     value = float(-2.0 * stats.trace / n
                   + cfg.tau * np.mean(np.log(d[0]))
@@ -177,8 +179,7 @@ def twoway_update_u(state: OptimizerState, params_image, params_text,
     only, under the state's u_lag rule (refresh). Returns the new (u_image,
     u_text) values in slot order; a repeated index keeps its last slot."""
     idx = index_array("indices", indices)
-    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
-                          ds.text[idx])
+    stats = _paired_stats(params_image, params_text, cfg, ds, idx)
     _, u_new = state.refresh(idx, stats.g)
     state.u[:, idx] = u_new
     return u_new[0], u_new[1]
@@ -190,8 +191,7 @@ def twoway_estimator(state: OptimizerState, params_image, params_text,
     """Gradient estimate over concatenated (image, text) parameters, using the
     statistics exactly as stored in state."""
     idx = index_array("indices", indices)
-    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
-                          ds.text[idx])
+    stats = _paired_stats(params_image, params_text, cfg, ds, idx)
     u = state.u[:, idx]
     if np.any(u <= 0):
         raise NumericError("nonpositive u statistic at use time "
@@ -205,8 +205,7 @@ def twoway_step(state: OptimizerState, params_image, params_text,
     over the batch: the denominators and new u of the state's u_lag rule
     (refresh), the estimator, the stored u, then the step rule."""
     idx = index_array("indices", indices)
-    stats = _paired_stats(params_image, params_text, cfg, ds.image[idx],
-                          ds.text[idx])
+    stats = _paired_stats(params_image, params_text, cfg, ds, idx)
     denom, u_new = state.refresh(idx, stats.g)
     est = _pair_grad(params_image, params_text, cfg, stats, denom)
     state.u[:, idx] = u_new

@@ -16,11 +16,14 @@ import numpy as np
 
 
 def row_array(name: str, values, min_rows: int) -> np.ndarray:
-    """values as a finite 2-d float array of at least min_rows rows."""
+    """values as a finite 2-d float array of at least min_rows rows and at
+    least one column."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] < min_rows:
         raise ValueError(f"{name} must be a 2-d array of {min_rows} or more "
                          f"rows")
+    if a.shape[1] == 0:
+        raise ValueError(f"{name} must have 1 or more columns")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
@@ -129,10 +132,21 @@ def make_augmentation_family(d_in: int, K: int = 4, scale: float = 0.1,
     return AugmentationFamily(deltas=deltas)
 
 
+def _check_width(what: str, shape: tuple, fam: AugmentationFamily) -> None:
+    """Refuse data whose last axis is not the deltas' width, which numpy
+    would broadcast: a one-column delta over every coordinate, or one-column
+    data over every delta column."""
+    if shape[-1:] != (fam.d_in,):
+        raise ValueError(f"{what} of shape {shape} and deltas of width "
+                         f"{fam.d_in} differ in width")
+
+
 def apply_augmentation(fam: AugmentationFamily, k: int, x: np.ndarray) -> np.ndarray:
     """Return x + deltas[k]. k is a 0-based view index in [0, K)."""
     check_index("augmentation", k, fam.K)
-    return np.asarray(x, dtype=float) + fam.deltas[k]
+    x = np.asarray(x, dtype=float)
+    _check_width("x", x.shape, fam)
+    return x + fam.deltas[k]
 
 
 @dataclass(frozen=True)
@@ -219,12 +233,14 @@ def sample_minibatch(ds: Dataset, fam: AugmentationFamily, B: int,
 
 def all_views(ds: Dataset, fam: AugmentationFamily) -> np.ndarray:
     """All n*K augmented views, row i*K + k holding x_i + deltas[k]."""
+    _check_width("dataset points", ds.points.shape, fam)
     views = ds.points[:, None, :] + fam.deltas[None, :, :]
     return views.reshape(ds.n * fam.K, ds.d_in)
 
 
 def batch_views(ds: Dataset, fam: AugmentationFamily, batch: MiniBatch) -> np.ndarray:
     """The 2B batch view rows: first all first views, then all second views."""
+    _check_width("dataset points", ds.points.shape, fam)
     pts = ds.points[batch.indices]
     X = np.concatenate((pts, pts))
     X += fam.deltas[np.concatenate((batch.aug_a, batch.aug_b))]

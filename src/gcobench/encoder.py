@@ -167,19 +167,21 @@ def encode(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return E[0]
 
 
-def _central_diff(f_flat, x0: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of a function of a flat vector. A scalar function
-    gives a vector; one that returns a 1-D array gives a column per output."""
+def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences of a function of a flat vector, for functions over
+    concatenations of several parameter sets too. A scalar function gives a
+    vector; one that returns a 1-D array gives a column per output."""
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
+    x0 = np.asarray(x0, dtype=float)
     rows = []
     for j in range(x0.shape[0]):
         xp = x0.copy()
         xp[j] += h
-        fp = np.asarray(f_flat(xp), dtype=float)
+        fp = np.asarray(f(xp), dtype=float)
         xm = x0.copy()
         xm[j] -= h
-        fm = np.asarray(f_flat(xm), dtype=float)
+        fm = np.asarray(f(xm), dtype=float)
         if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise ValueError(f"non-finite function value at coordinate {j}")
         rows.append((fp - fm) / (2.0 * h))
@@ -189,15 +191,8 @@ def _central_diff(f_flat, x0: np.ndarray, h: float) -> np.ndarray:
 def finite_diff_grad(f, params: EncoderParams, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a function of the encoder params: a
     column per output if f returns a 1-D array."""
-    x0 = flatten_params(params)
-    return _central_diff(lambda x: f(unflatten_params(params, x)), x0, h)
-
-
-def finite_diff_flat(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    Useful for functions over concatenations of several parameter sets."""
-    return _central_diff(f, np.asarray(x0, dtype=float).copy(), h)
+    return finite_diff_flat(lambda x: f(unflatten_params(params, x)),
+                            flatten_params(params), h)
 
 
 def _encoder_text(params: EncoderParams) -> str:

@@ -25,10 +25,13 @@ def test_train_with_config_file_and_overrides(tmp_path, capsys):
         cfg.write_text("dataset.n = 8\noptimizer.steps = 10\n"
                        "optimizer.batch_size = 4\nmetrics.cadence = 5\n")
         metrics = str(tmp_path / "m.csv")
-        code = main(["train", str(cfg), f"metrics.path={metrics}"])
+        ckpt = str(tmp_path / "enc.txt")
+        code = main(["train", str(cfg), f"metrics.path={metrics}",
+                     f"checkpoint.path={ckpt}"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "oracle_grad_norm_sq" in out
+        assert out.endswith(f"checkpoint written to {ckpt}\n")
         assert [r.step for r in read_metrics(metrics)] == [0, 5, 10]
 
 
@@ -279,6 +282,8 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
     (["gradcheck", "encoder.arch=one_hidden", "encoder.d_hidden=1"],
      EXIT_CONFIG, "config error: gradcheck needs encoder.d_hidden >= 2 with "
      "encoder.arch = one_hidden"),
+    (["gradcheck", "optimizer.algo=bogus"], EXIT_CONFIG,
+     "config error: optimizer.algo must be one of"),
 ], ids=["batch-without-negatives", "sweep-batch-without-negatives",
         "config-not-utf8", "gradcheck-non-finite-differences",
         "step-0-collapsed-embedding", "checkpoint-not-writable",
@@ -286,7 +291,8 @@ def test_non_finite_records_exit_with_numeric_code(argv, tmp_path, capsys):
         "metrics-not-writable", "batch-exceeds-dataset",
         "sweep-batch-exceeds-dataset", "oracle-tile-past-blas-bound",
         "sweep-repeated-batch-size", "sweep-repeated-seed",
-        "gradcheck-linear-one-input", "gradcheck-one-hidden-unit"])
+        "gradcheck-linear-one-input", "gradcheck-one-hidden-unit",
+        "gradcheck-unknown-algo"])
 def test_run_failures_print_one_line(argv, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfeoptimizer.steps = 3\n")

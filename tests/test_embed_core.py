@@ -1,16 +1,19 @@
 """Datasets, augmentation families, samplers, and output files."""
 
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcobench import (AugmentationFamily, Dataset, MiniBatch,
-                      MinibatchSampler, all_views, apply_augmentation,
-                      batch_views, make_augmentation_family,
-                      sample_minibatch)
+from gcobench import (AugmentationFamily, Dataset, EncoderParams,
+                      GlobalObjectiveConfig, MiniBatch, MinibatchSampler,
+                      PairedDataset, all_views, apply_augmentation,
+                      batch_views, g_minibatch, generate_synthetic,
+                      init_encoder, make_augmentation_family, oracle_F,
+                      sample_minibatch, simclr_estimator)
 import gcobench
 from gcobench.embed_core import SAMPLING_MODES, IndexSampler, write_text
 
@@ -54,6 +57,48 @@ def test_apply_augmentation_adds_delta_and_checks_range():
         apply_augmentation(fam, 2, x)
     with pytest.raises(IndexError):
         apply_augmentation(fam, -1, x)
+
+
+def test_zero_width_arrays_are_refused():
+    """A (rows, 0) array would pass every other check and fail only later,
+    with an error that names no argument."""
+    for name, make in (
+            ("dataset points", lambda a: Dataset(points=a)),
+            ("deltas", lambda a: AugmentationFamily(deltas=a)),
+            ("image", lambda a: PairedDataset(image=a, text=np.eye(3))),
+            ("text", lambda a: PairedDataset(image=np.eye(3), text=a)),
+            ("W1", lambda a: EncoderParams("linear", a))):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must have 1 or more columns$"):
+            make(np.zeros((3, 0)))
+
+
+def test_deltas_of_another_width_than_the_data_are_refused():
+    """numpy would add a one-column delta to every coordinate, or a row of
+    one-column data to every delta column, and give finite numbers."""
+    cfg = GlobalObjectiveConfig(tau=0.2)
+    batch = MiniBatch(indices=[1, 2, 3], aug_a=[0, 1, 0], aug_b=[1, 1, 0])
+    wide = generate_synthetic(8, 4, 2, 3.0, 7)
+    narrow = Dataset(points=wide.points[:, :1])
+    for ds, fam, width in (
+            (wide, AugmentationFamily(deltas=[[0.1], [-0.2]]), 1),
+            (narrow, make_augmentation_family(4, K=2, seed=1), 4)):
+        params = init_encoder("linear", ds.d_in, 3, seed=3)
+        shape = re.escape(str(ds.points.shape))
+        for call in (lambda: all_views(ds, fam),
+                     lambda: batch_views(ds, fam, batch),
+                     lambda: oracle_F(params, cfg, ds, fam),
+                     lambda: simclr_estimator(params, cfg, batch, ds, fam)):
+            with pytest.raises(ValueError, match=(
+                    f"^dataset points of shape {shape} and deltas of width "
+                    f"{width} differ in width$")):
+                call()
+        for call in (lambda: apply_augmentation(fam, 0, ds.points[0]),
+                     lambda: g_minibatch(params, cfg, 0, 0, batch, ds, fam)):
+            with pytest.raises(ValueError, match=(
+                    rf"^x of shape \({ds.d_in},\) and deltas of width "
+                    f"{width} differ in width$")):
+                call()
 
 
 def test_minibatch_validation():

@@ -11,7 +11,7 @@ from gcobench import (DegenerateEmbeddingError, EncoderParams, backward_batch,
                       finite_diff_grad, flatten_params, init_encoder,
                       load_encoder, save_encoder, unflatten_params)
 import gcobench
-from gcobench.encoder import ARCHITECTURES, _central_diff, step_params
+from gcobench.encoder import ARCHITECTURES, step_params
 
 
 def test_init_encoder_shapes_and_determinism():
@@ -125,22 +125,22 @@ def test_finite_diff_flat_exact_on_quadratic():
     np.testing.assert_allclose(fd, 2.0 * A @ x0, rtol=1e-8, atol=1e-9)
 
 
-def test_central_diff_of_a_vector_function():
+def test_finite_diff_flat_of_a_vector_function():
     """A column per output, exact for quadratics at these dyadic points; a
     non-finite second output names its coordinate."""
     x0 = np.array([1.0, -2.0, 3.0])
-    fd = _central_diff(lambda x: np.array([x @ x, x[0] * x[1] + 2 * x[2] ** 2]),
-                       x0, h=0.5)
+    fd = finite_diff_flat(
+        lambda x: np.array([x @ x, x[0] * x[1] + 2 * x[2] ** 2]), x0, h=0.5)
     assert np.array_equal(fd, [[2.0, -2.0], [-4.0, 1.0], [6.0, 12.0]])
     with pytest.raises(ValueError,
                        match="^non-finite function value at coordinate 1$"):
-        _central_diff(lambda x: np.array([x.sum(), np.nan if x[1] else 0.0]),
-                      np.zeros(3), h=0.5)
+        finite_diff_flat(lambda x: np.array([x.sum(), np.nan if x[1] else 0.0]),
+                         np.zeros(3), h=0.5)
 
 
-def test_central_diff_validation():
+def test_finite_diff_flat_validation():
     with pytest.raises(ValueError):
-        _central_diff(lambda x: float(x.sum()), np.zeros(2), h=0.0)
+        finite_diff_flat(lambda x: float(x.sum()), np.zeros(2), h=0.0)
     with pytest.raises(ValueError):
         finite_diff_flat(lambda x: float("nan"), np.zeros(2))
 
@@ -196,6 +196,8 @@ def test_load_encoder_rejects_bad_files(tmp_path):
                  "linear 4\n0.0\n",                 # header without sizes
                  "linear 4 3\n" + "0.5\n" * 11,     # one value short
                  "linear 100000000000 3\n0.5\n",    # sizes past memory
+                 "linear 0 3\n",                    # a layer of width 0
+                 "one_hidden 0 2 3\n" + "0.5\n" * 6,
                  head + first + "\n" + rest,        # a blank line
                  head + "1_0\n" + rest,
                  head + " " + first + rest,         # a leading space

@@ -247,6 +247,8 @@ def test_generate_synthetic_shapes_labels_determinism():
     assert not np.array_equal(ds.points, other.points)
     with pytest.raises(ConfigError):
         generate_synthetic(2, 3, 4, 2.0, seed=5)
+    with pytest.raises(ConfigError, match="^clusters must be >= 1$"):
+        generate_synthetic(10, 3, 0, 2.0, seed=5)
 
 
 def test_generate_synthetic_pairs_shapes():
@@ -400,6 +402,8 @@ def test_metrics_empty_and_errors(tmp_path):
     assert read_metrics(jl, "jsonl") == []
     with pytest.raises(ConfigError):
         emit_metrics([], path, "tsv")
+    with pytest.raises(ConfigError, match="^metrics format must be one of"):
+        read_metrics(path, "tsv")
     with pytest.raises(OSError):
         emit_metrics([], str(tmp_path / "missing" / "m.csv"), "csv")
     bad = tmp_path / "bad.csv"
